@@ -36,8 +36,6 @@ from .precoding import (
 from .power import (
     PowerAllocation,
     baseline_powers,
-    log_objective_oracle,
-    power_lp_oracle,
     solve_power_lp,
 )
 from .metrics import (
@@ -46,8 +44,6 @@ from .metrics import (
     aggregate,
     baseline_sinrs,
     jt_sinrs,
-    sinr_downlink_jt,
-    sinr_uplink_jt,
 )
 from .harness import (
     Record,
@@ -85,16 +81,12 @@ __all__ = [
     "zf_precoder",
     "PowerAllocation",
     "baseline_powers",
-    "log_objective_oracle",
-    "power_lp_oracle",
     "solve_power_lp",
     "SnapshotMetrics",
     "SweepPointSummary",
     "aggregate",
     "baseline_sinrs",
     "jt_sinrs",
-    "sinr_downlink_jt",
-    "sinr_uplink_jt",
     "Record",
     "RunResult",
     "SimulationConfig",

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .topology import Topology, pairwise_distances
-
-# A1 indoor LOS validity range; also keeps the gain finite when a UE lands
-# on top of a BS.
-_D_MIN_M = 3.0
-_D_MAX_M = 100.0
+from .topology import D_MAX_M, D_MIN_M, Topology, pairwise_distances
 
 THERMAL_NOISE_DBM_HZ = -174.0
 
@@ -75,7 +70,7 @@ def path_loss_db(distance_m, freq_ghz: float):
     """
     if freq_ghz <= 0:
         raise ConfigurationError("freq_ghz must be positive")
-    d = np.clip(np.asarray(distance_m, dtype=float), _D_MIN_M, _D_MAX_M)
+    d = np.clip(np.asarray(distance_m, dtype=float), D_MIN_M, D_MAX_M)
     pl = 18.7 * np.log10(d) + 46.8 + 20.0 * np.log10(freq_ghz / 5.0)
     return pl if pl.ndim else float(pl)
 

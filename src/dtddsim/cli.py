@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import __version__
@@ -11,17 +12,38 @@ from .exceptions import ConfigurationError
 from .harness import SimulationConfig, run_sweep, write_results
 from .snapshot import TrafficConfig
 
-_TOP_KEYS = {"n_bs", "area_side", "radio", "traffic", "schemes", "delta",
-             "utilizations", "snapshots_per_point", "master_seed", "worker_count"}
-_RADIO_KEYS = {"carrier_freq_ghz", "bandwidth_hz", "noise_figure_db",
-               "p_b_max_w", "p_u_max_w"}
-_TRAFFIC_KEYS = {"dl_probability", "require_mixed_traffic"}
+# Expected JSON type of each key: a type (float takes any finite number), a
+# literal string, [item type] for a list, or a tuple of alternatives.
+_TOP_FIELDS = {"n_bs": int, "area_side": float, "radio": dict, "traffic": dict,
+               "schemes": [str], "delta": int, "utilizations": [float],
+               "snapshots_per_point": int, "master_seed": int,
+               "worker_count": (int, "auto")}
+_RADIO_FIELDS = dict.fromkeys(("carrier_freq_ghz", "bandwidth_hz", "noise_figure_db",
+                               "p_b_max_w", "p_u_max_w"), float)
+_TRAFFIC_FIELDS = {"dl_probability": float, "require_mixed_traffic": bool}
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = sorted(set(section) - allowed)
+def _matches(value, spec) -> bool:
+    if isinstance(spec, tuple):
+        return any(_matches(value, s) for s in spec)
+    if isinstance(spec, list):
+        return isinstance(value, list) and all(_matches(v, spec[0]) for v in value)
+    if isinstance(spec, str):
+        return value == spec
+    if isinstance(value, bool):  # JSON true/false is a Python int, but no number
+        return spec is bool
+    if spec is float:  # Python's json also reads NaN and Infinity
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, spec)
+
+
+def _check_section(section: dict, fields: dict, where: str):
+    unknown = sorted(set(section) - set(fields))
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
+    for key, value in section.items():
+        if not _matches(value, fields[key]):
+            raise ConfigurationError(f"{where} key {key} has the wrong type: {value!r}")
 
 
 def load_config(path) -> SimulationConfig:
@@ -29,20 +51,21 @@ def load_config(path) -> SimulationConfig:
 
     Keys mirror the SimulationConfig field names; `radio` and `traffic` are
     nested sections. The per-point utilization lives in the top-level
-    `utilizations` list, never under `traffic`. Unknown keys are a hard
-    error so typos cannot silently fall back to defaults.
+    `utilizations` list, never under `traffic`. Unknown keys and values of
+    the wrong JSON type are a hard error, so typos cannot silently fall
+    back to defaults or fail deep inside the sweep.
     """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must contain a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_section(raw, _TOP_FIELDS, "config")
     kwargs = {k: v for k, v in raw.items() if k not in ("radio", "traffic")}
     if "radio" in raw:
-        _check_keys(raw["radio"], _RADIO_KEYS, "radio")
+        _check_section(raw["radio"], _RADIO_FIELDS, "radio")
         kwargs["radio"] = RadioParams(**raw["radio"])
     if "traffic" in raw:
-        _check_keys(raw["traffic"], _TRAFFIC_KEYS, "traffic")
+        _check_section(raw["traffic"], _TRAFFIC_FIELDS, "traffic")
         kwargs["traffic"] = TrafficConfig(utilization=1.0, **raw["traffic"])
     return SimulationConfig(**kwargs)
 

@@ -20,11 +20,11 @@ from . import __version__
 from .channel import RadioParams, build_channel_realization
 from .exceptions import ConfigurationError, SingularChannelError
 from .metrics import (SnapshotMetrics, aggregate, baseline_sinrs, jt_sinrs,
-                      snapshot_metrics, uplink_only_sinrs)
+                      snapshot_metrics)
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
 from .snapshot import TrafficConfig, generate_snapshot
-from .topology import build_grid
+from .topology import Topology, build_grid
 
 SCHEMES = ("baseline", "jt", "jt_ds")
 
@@ -118,10 +118,9 @@ def derive_stream(master_seed: int, utilization_index: int,
     return np.random.default_rng(ss)
 
 
-def realize_point(config: SimulationConfig, utilization_index: int,
-                  snapshot_index: int):
+def realize_point(config: SimulationConfig, topology: Topology,
+                  utilization_index: int, snapshot_index: int):
     """Generate the shared (snapshot, channel) pair for one sweep task."""
-    topology = build_grid(config.n_bs, config.area_side)
     traffic = dataclasses.replace(
         config.traffic, utilization=config.utilizations[utilization_index])
     rng = derive_stream(config.master_seed, utilization_index, snapshot_index)
@@ -131,7 +130,7 @@ def realize_point(config: SimulationConfig, utilization_index: int,
 
 
 def evaluate_scheme(scheme: str, snap, chan, params: RadioParams,
-                    delta: int = 0) -> SnapshotMetrics:
+                    delta: int = 0, baseline_sinr=None) -> SnapshotMetrics:
     """Run one scheme's pipeline on a shared snapshot/channel realization.
 
     baseline: fixed maximum powers, no precoding.
@@ -139,23 +138,18 @@ def evaluate_scheme(scheme: str, snap, chan, params: RadioParams,
     jt_ds:    baseline uplink SINRs pick the V_ul(delta) worst uplink BSs,
               which join the precoder as zero-power rows, then power LP.
     Without downlink traffic every scheme degrades to distributed uplink
-    operation with no BS transmitting.
+    operation with no BS transmitting, which is the baseline.
+    baseline_sinr: the snapshot's baseline SINRs if the caller already has
+    them; computed here when needed otherwise.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if scheme == "baseline":
-        sinrs = baseline_sinrs(snap, chan, params)
-        return snapshot_metrics(scheme, snap, sinrs, params.bandwidth_hz, 0)
-    if snap.k_dl == 0:
-        sinrs = uplink_only_sinrs(snap, chan, params)
-        return snapshot_metrics(scheme, snap, sinrs, params.bandwidth_hz, 0)
-    v = 0
-    base = None
-    if scheme == "jt_ds":
-        v = v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        if v > 0:
-            base = baseline_sinrs(snap, chan, params)
-    precoder = build_precoder(snap, chan, v, base)
+    v = _attempted_v_ul(scheme, snap, delta)
+    if baseline_sinr is None and (scheme == "baseline" or snap.k_dl == 0 or v > 0):
+        baseline_sinr = baseline_sinrs(snap, chan, params)
+    if scheme == "baseline" or snap.k_dl == 0:
+        return snapshot_metrics(scheme, snap, baseline_sinr, params.bandwidth_hz, 0)
+    precoder = build_precoder(snap, chan, v, baseline_sinr)
     alloc = solve_power_lp(precoder.w, params.p_b_max_w, snap.k_dl)
     sinrs = jt_sinrs(snap, chan, params, precoder.w, alloc.p)
     return snapshot_metrics(scheme, snap, sinrs, params.bandwidth_hz, precoder.v_ul)
@@ -167,26 +161,39 @@ def _attempted_v_ul(scheme: str, snap, delta: int) -> int:
     return v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
 
 
-def _run_task(config: SimulationConfig, task) -> list:
+def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
+    """Records of every configured scheme on one (utilization, snapshot) task.
+
+    The schemes share work: the baseline's SINRs drive the JT-DS selection,
+    and JT-DS without dummy streams (V_ul = 0) has JT's precoder, so it
+    takes JT's result.
+    """
     u_idx, s_idx = task
     utilization = config.utilizations[u_idx]
-    snap, chan = realize_point(config, u_idx, s_idx)
+    snap, chan = realize_point(config, topology, u_idx, s_idx)
+    results = {}  # evaluated pipeline -> SnapshotMetrics, None if singular
     records = []
     for scheme in SCHEMES:
         if scheme not in config.schemes:
             continue
-        try:
-            m = evaluate_scheme(scheme, snap, chan, config.radio, config.delta)
-            rec = Record(scheme, utilization, config.delta, s_idx,
-                         snap.k_dl, snap.k_ul, m.v_ul_used,
-                         m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps,
-                         failed=False)
-        except SingularChannelError:
-            rec = Record(scheme, utilization, config.delta, s_idx,
-                         snap.k_dl, snap.k_ul,
-                         _attempted_v_ul(scheme, snap, config.delta),
-                         float("nan"), float("nan"), float("nan"), failed=True)
-        records.append(rec)
+        v = _attempted_v_ul(scheme, snap, config.delta)
+        pipeline = "jt" if scheme == "jt_ds" and v == 0 else scheme
+        if pipeline not in results:
+            base = results.get("baseline")
+            try:
+                results[pipeline] = evaluate_scheme(
+                    pipeline, snap, chan, config.radio, config.delta,
+                    None if base is None else base.per_ue_sinr)
+            except SingularChannelError:
+                results[pipeline] = None
+        m = results[pipeline]
+        if m is None:
+            v_used, rates = v, (float("nan"),) * 3
+        else:
+            v_used, rates = m.v_ul_used, (m.dl_sum_rate_bps, m.ul_sum_rate_bps,
+                                          m.sum_rate_bps)
+        records.append(Record(scheme, utilization, config.delta, s_idx, snap.k_dl,
+                              snap.k_ul, v_used, *rates, failed=m is None))
     return records
 
 
@@ -204,16 +211,17 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     are kept in the record list with their flag set and excluded from the
     aggregates; a failure rate above 1% triggers a warning.
     """
+    topology = build_grid(config.n_bs, config.area_side)
     tasks = [(u_idx, s_idx)
              for u_idx in range(len(config.utilizations))
              for s_idx in range(config.snapshots_per_point)]
     workers = _resolve_workers(config)
     if workers == 1 or len(tasks) == 1:
-        per_task = [_run_task(config, t) for t in tasks]
+        per_task = [_run_task(config, topology, t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(partial(_run_task, config), tasks,
+            per_task = list(pool.map(partial(_run_task, config, topology), tasks,
                                      chunksize=chunk))
     records = [rec for recs in per_task for rec in recs]
     records.sort(key=lambda r: (r.scheme, r.utilization, r.snapshot))

@@ -11,7 +11,6 @@ import numpy as np
 
 from .channel import ChannelRealization, RadioParams
 from .exceptions import ConfigurationError
-from .power import baseline_powers
 
 
 @dataclass
@@ -38,113 +37,66 @@ class SweepPointSummary:
     n_samples: int
 
 
-def sinr_downlink_jt(i: int, channel: ChannelRealization, w: np.ndarray,
-                     p: np.ndarray, p_u: float, noise_w: float) -> float:
-    """Downlink SINR under joint transmission for downlink slot i.
+def _sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
+           w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-UE SINRs (UE drop order) with the downlink array sending streams W at powers p.
 
-    gamma_i = |h_i^H w_i|^2 p_i /
-              (sigma^2 + sum_{k != i} |h_i^H w_k|^2 p_k + sum_l |g_il|^2 P_u)
+    Downlink UE i (row i of h_dl, column i of W):
+      gamma_i = |h_i^H w_i|^2 p_i /
+                (sigma^2 + sum_{k != i} |h_i^H w_k|^2 p_k + sum_l |g_il|^2 P_u)
+    Uplink UE j, at its serving BS b(j) (row j of f_bs, column j of h_ul):
+      gamma_j = |h_jb(j)|^2 P_u /
+                (sigma^2 + sum_{l != j} |h_lb(j)|^2 P_u + sum_k |f_b(j)^H w_k|^2 p_k)
 
-    i indexes the rows of h_dl (and the first K_dl precoder columns). The
-    leakage sum runs over every other column, dummy streams included; their
-    zero powers remove them arithmetically, not structurally.
+    The leakage sums run over every other column, dummy streams included;
+    their zero powers remove them arithmetically, not structurally. The
+    interference sums add the off-diagonal terms with the diagonal zeroed:
+    subtracting the desired term from the row total would round the noise
+    away, since the desired power can be 10^7 times the noise.
     """
-    hw = np.conj(channel.h_dl[i]) @ w
-    terms = np.abs(hw) ** 2 * p
-    desired = terms[i]
-    mask = np.ones(len(terms), dtype=bool)
-    mask[i] = False
-    leakage = terms[mask].sum()
-    ue_to_ue = (np.abs(channel.g_ue[i]) ** 2).sum() * p_u
-    return float(desired / (noise_w + leakage + ue_to_ue))
+    noise_w, p_u = params.noise_power_w, params.p_u_max_w
+    sinrs = np.zeros(snapshot.k)
 
+    rx = np.abs(np.conj(channel.h_dl) @ w) ** 2 * p  # [K_dl, K_dl + V_ul]
+    desired = rx.diagonal().copy()
+    np.fill_diagonal(rx, 0.0)
+    ue_to_ue = (np.abs(channel.g_ue) ** 2).sum(axis=1) * p_u
+    sinrs[snapshot.dl_ues] = desired / (noise_w + rx.sum(axis=1) + ue_to_ue)
 
-def sinr_uplink_jt(j: int, channel: ChannelRealization, w: np.ndarray,
-                   p: np.ndarray, p_u: float, noise_w: float) -> float:
-    """Uplink SINR at the serving BS of uplink slot j under joint transmission.
-
-    gamma_j = |h_jb(j)|^2 P_u /
-              (sigma^2 + sum_{l != j} |h_lb(j)|^2 P_u + sum_k |f_b(j)^H w_k|^2 p_k)
-
-    j indexes the columns of h_ul / rows of f_bs. For a BS included in the
-    precoder the last term is numerically nulled by construction.
-    """
-    col = np.abs(channel.h_ul[:, j]) ** 2
-    desired = col[j] * p_u
-    mask = np.ones(len(col), dtype=bool)
-    mask[j] = False
-    other_ul = col[mask].sum() * p_u
-    precoder_leak = float(np.abs(np.conj(channel.f_bs[j]) @ w) ** 2 @ p)
-    return float(desired / (noise_w + other_ul + precoder_leak))
+    gains = np.abs(channel.h_ul) ** 2  # [K_ul, N_ul]
+    desired = gains.diagonal() * p_u
+    np.fill_diagonal(gains, 0.0)
+    bs_leak = np.abs(np.conj(channel.f_bs) @ w) ** 2 @ p
+    sinrs[snapshot.ul_ues] = desired / (noise_w + gains.sum(axis=0) * p_u + bs_leak)
+    return sinrs
 
 
 def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
              w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-UE SINRs (UE drop order) for a joint-transmission scheme."""
-    noise_w = params.noise_power_w
-    sinrs = np.zeros(snapshot.k)
-    for slot, ue in enumerate(snapshot.dl_ues):
-        sinrs[ue] = sinr_downlink_jt(slot, channel, w, p, params.p_u_max_w, noise_w)
-    for slot, ue in enumerate(snapshot.ul_ues):
-        sinrs[ue] = sinr_uplink_jt(slot, channel, w, p, params.p_u_max_w, noise_w)
-    return sinrs
+    """Per-UE SINRs (UE drop order) for a joint-transmission scheme.
 
-
-def uplink_only_sinrs(snapshot, channel: ChannelRealization,
-                      params: RadioParams) -> np.ndarray:
-    """Distributed uplink operation when no downlink traffic exists.
-
-    No BS transmits, so the only impairments are noise and UE-to-BS
-    interference from the other uplink UEs. All three schemes coincide here.
+    w is the normalized precoder and p the stream powers; a downlink-free
+    snapshot passes W with zero columns.
     """
-    noise_w = params.noise_power_w
-    sinrs = np.zeros(snapshot.k)
-    for slot, ue in enumerate(snapshot.ul_ues):
-        col = np.abs(channel.h_ul[:, slot]) ** 2
-        mask = np.ones(len(col), dtype=bool)
-        mask[slot] = False
-        sinrs[ue] = col[slot] * params.p_u_max_w / (
-            noise_w + col[mask].sum() * params.p_u_max_w)
-    return sinrs
+    return _sinrs(snapshot, channel, params, w, p)
 
 
 def baseline_sinrs(snapshot, channel: ChannelRealization,
                    params: RadioParams) -> np.ndarray:
     """Per-UE SINRs for the uncoordinated scheme, UE drop order.
 
-    Downlink UE i hears its serving BS at P_b against the other serving
-    downlink BSs plus UE-to-UE interference; uplink BS b(j) hears its UE
-    against the other uplink UEs plus the serving downlink BSs. Idle BSs
-    transmit nothing.
+    Each downlink UE's serving BS sends one stream at P_b, which is the
+    joint-transmission formula with W the 0/1 matrix selecting each downlink
+    UE's serving BS within the downlink array. Downlink UE i hears its
+    serving BS against the other serving downlink BSs plus UE-to-UE
+    interference; uplink BS b(j) hears its UE against the other uplink UEs
+    plus the serving downlink BSs. Idle BSs transmit nothing. Without
+    downlink traffic W has no columns and no BS transmits.
     """
-    noise_w = params.noise_power_w
-    powers = baseline_powers(snapshot, params)
-    dl_col_power = powers.bs_power_w[snapshot.n_dl]  # per downlink-array column
-    ul_ue_power = powers.ue_power_w[snapshot.ul_ues]
-
-    # column of each downlink UE's serving BS within the downlink array
-    col_of_bs = {int(bs): c for c, bs in enumerate(snapshot.n_dl.tolist())}
-
-    sinrs = np.zeros(snapshot.k)
-    for slot, ue in enumerate(snapshot.dl_ues):
-        own_col = col_of_bs[int(snapshot.ue_placement.serving_bs[ue])]
-        gains = np.abs(channel.h_dl[slot]) ** 2
-        desired = gains[own_col] * params.p_b_max_w
-        rx = gains * dl_col_power
-        other_bs = rx.sum() - rx[own_col]
-        ue_to_ue = (np.abs(channel.g_ue[slot]) ** 2 * ul_ue_power).sum()
-        sinrs[ue] = desired / (noise_w + other_bs + ue_to_ue)
-
-    for slot, ue in enumerate(snapshot.ul_ues):
-        col = np.abs(channel.h_ul[:, slot]) ** 2
-        desired = col[slot] * params.p_u_max_w
-        mask = np.ones(len(col), dtype=bool)
-        mask[slot] = False
-        other_ul = (col[mask] * ul_ue_power[mask]).sum()
-        bs_to_bs = (np.abs(channel.f_bs[slot]) ** 2 * dl_col_power).sum()
-        sinrs[ue] = desired / (noise_w + other_ul + bs_to_bs)
-
-    return sinrs
+    serving = snapshot.ue_placement.serving_bs[snapshot.dl_ues]
+    w = np.zeros((snapshot.n_dl_count, snapshot.k_dl))
+    w[np.searchsorted(snapshot.n_dl, serving), np.arange(snapshot.k_dl)] = 1.0
+    return _sinrs(snapshot, channel, params, w, np.full(snapshot.k_dl, params.p_b_max_w))
 
 
 def snapshot_metrics(scheme: str, snapshot, sinrs: np.ndarray,

@@ -4,23 +4,14 @@ The production path maximizes the plain power sum over the data streams,
 which is a linear program: maximize sum_k p_k subject to
 sum_k |w_nk|^2 p_k <= P_b for every antenna n and p >= 0, with the dummy
 streams pinned at zero. Instances are tiny (at most N variables and N
-constraints), so the LP is solved by an in-repo dense simplex. Two
-desk-scale oracles back it in tests: exact vertex enumeration for the LP
-and the concave log-sum objective it relaxes.
+constraints), so the LP is solved by an in-repo dense simplex.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import ConfigurationError
-
-_FEAS_TOL = 1e-9
-# vertex-enumeration oracle stays exact only at desk scale
-_ORACLE_MAX_K_DL = 3
-_ORACLE_MAX_N_DL = 6
 
 
 @dataclass
@@ -54,31 +45,29 @@ def _simplex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-11
     t[:m, n:n + m] = np.eye(m)
     t[:m, -1] = b
     t[m, :n] = c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
+    reduced, rhs = t[m, :n + m], t[:m, -1]
     for _ in range(200 * (n + m + 1)):
-        reduced = t[m, :n + m]
-        entering = -1
-        for j in range(n + m):
-            if reduced[j] > tol:
-                entering = j
-                break
-        if entering < 0:
+        entering = np.argmax(reduced > tol)  # first improving column
+        if not reduced[entering] > tol:
             x = np.zeros(n + m)
-            x[basis] = t[:m, -1]
+            x[basis] = rhs
             return x[:n]
         col = t[:m, entering]
-        pos = col > tol
-        if not pos.any():
+        rows = (col > tol).nonzero()[0]
+        if not rows.size:
             raise RuntimeError("LP is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = t[:m, -1][pos] / col[pos]
+        ratios = rhs[rows] / col[rows]
         best = ratios.min()
-        ties = [i for i in range(m) if pos[i] and ratios[i] <= best + tol * (1.0 + best)]
-        leaving = min(ties, key=lambda i: basis[i])
+        ties = rows[ratios <= best + tol * (1.0 + best)]
+        leaving = ties[basis[ties].argmin()]
         t[leaving] /= t[leaving, entering]
-        for r in range(m + 1):
-            if r != leaving and t[r, entering] != 0.0:
-                t[r] -= t[r, entering] * t[leaving]
+        # eliminate the entering column from every other row: the same
+        # products and differences as row by row, and rows whose factor is
+        # zero lose 0 * t[leaving], which is no change but a zero's sign
+        factor = t[:, entering].copy()
+        factor[leaving] = 0.0
+        t -= factor[:, None] * t[leaving]
         basis[leaving] = entering
     raise RuntimeError("simplex failed to converge")
 
@@ -108,76 +97,6 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> PowerAllocation:
     x = _simplex_max(np.ones(k_dl), a, b)
     p = np.zeros(w.shape[1])
     p[:k_dl] = np.maximum(x, 0.0)
-    return PowerAllocation(p=p)
-
-
-def power_lp_oracle(w: np.ndarray, p_b: float, k_dl: int) -> PowerAllocation:
-    """Exact LP optimum by enumerating every basic feasible solution.
-
-    Ground truth for solve_power_lp; refuses anything beyond K_dl <= 3,
-    N_dl <= 6 where the enumeration stops being obviously exact and cheap.
-    """
-    a = _antenna_gains(w, k_dl)
-    n_dl = a.shape[0]
-    if k_dl > _ORACLE_MAX_K_DL or n_dl > _ORACLE_MAX_N_DL:
-        raise ConfigurationError(
-            f"oracle limited to K_dl <= {_ORACLE_MAX_K_DL}, N_dl <= {_ORACLE_MAX_N_DL}"
-        )
-    # constraint rows: a x <= p_b and -x <= 0
-    rows = np.vstack([a, -np.eye(k_dl)])
-    rhs = np.concatenate([np.full(n_dl, float(p_b)), np.zeros(k_dl)])
-    best_x, best_obj = None, -np.inf
-    for subset in combinations(range(len(rows)), k_dl):
-        g = rows[list(subset)]
-        if abs(np.linalg.det(g)) < 1e-12:
-            continue
-        x = np.linalg.solve(g, rhs[list(subset)])
-        if np.all(a @ x <= p_b + _FEAS_TOL) and np.all(x >= -_FEAS_TOL):
-            obj = x.sum()
-            if obj > best_obj:
-                best_obj, best_x = obj, x
-    p = np.zeros(w.shape[1])
-    p[:k_dl] = np.maximum(best_x, 0.0)
-    return PowerAllocation(p=p)
-
-
-def log_objective_oracle(w: np.ndarray, p_b: float, k_dl: int) -> PowerAllocation:
-    """Maximize sum_k log2(1 + p_k) under the same per-antenna constraints.
-
-    The concave program the linear objective relaxes; desk-scale only, used
-    to quantify the relaxation gap. Solved by SLSQP from two starts (an
-    interior point and the LP vertex), keeping the better.
-    """
-    a = _antenna_gains(w, k_dl)
-    n_dl = a.shape[0]
-    if k_dl > _ORACLE_MAX_K_DL or n_dl > _ORACLE_MAX_N_DL:
-        raise ConfigurationError(
-            f"oracle limited to K_dl <= {_ORACLE_MAX_K_DL}, N_dl <= {_ORACLE_MAX_N_DL}"
-        )
-
-    def neg_obj(p):
-        return -np.sum(np.log2(1.0 + p))
-
-    def neg_grad(p):
-        return -1.0 / ((1.0 + p) * np.log(2.0))
-
-    cons = [{"type": "ineq", "fun": lambda p: p_b - a @ p, "jac": lambda p: -a}]
-    bounds = [(0.0, None)] * k_dl
-    interior = np.full(k_dl, 0.9 * p_b / max(a.sum(axis=1).max(), 1e-30))
-    starts = [interior, solve_power_lp(w, p_b, k_dl).p[:k_dl]]
-    best_x, best_val = None, np.inf
-    for x0 in starts:
-        res = minimize(neg_obj, x0, jac=neg_grad, bounds=bounds, constraints=cons,
-                       method="SLSQP", options={"maxiter": 500, "ftol": 1e-14})
-        x = np.maximum(res.x, 0.0)
-        if np.all(a @ x <= p_b + _FEAS_TOL):
-            val = neg_obj(x)
-            if val < best_val:
-                best_val, best_x = val, x
-    if best_x is None:
-        raise RuntimeError("log-objective solver failed to produce a feasible point")
-    p = np.zeros(w.shape[1])
-    p[:k_dl] = best_x
     return PowerAllocation(p=p)
 
 

@@ -7,9 +7,9 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 
-# Association frequency; the path-loss frequency term is a distance-independent
-# offset, so the strongest-BS ordering is the same at any carrier.
-_ASSOC_FREQ_GHZ = 2.0
+# A1 indoor LOS validity range [m]; path loss is flat outside it
+D_MIN_M = 3.0
+D_MAX_M = 100.0
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -21,8 +21,9 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Returns:
         [P, Q] distances in meters
     """
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=-1))
+    dx = a[:, 0, None] - b[:, 0]
+    dy = a[:, 1, None] - b[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 @dataclass
@@ -96,15 +97,6 @@ def build_grid(n_bs: int, area_side: float) -> Topology:
     return Topology(bs_positions=positions, area_side=area_side)
 
 
-def strongest_bs(position: np.ndarray, topology: Topology) -> int:
-    """Index of the BS with the lowest average path loss (ties: lowest index)."""
-    from .channel import path_loss_db  # deferred: channel imports topology helpers
-
-    d = np.linalg.norm(topology.bs_positions - position, axis=1)
-    pl = path_loss_db(d, _ASSOC_FREQ_GHZ)
-    return int(np.argmin(pl))  # argmin takes the first (lowest-index) minimum
-
-
 def drop_ues(topology: Topology, k: int, rng: np.random.Generator) -> UePlacement:
     """Drop k UEs uniformly over the area, at most one per BS.
 
@@ -113,21 +105,28 @@ def drop_ues(topology: Topology, k: int, rng: np.random.Generator) -> UePlacemen
     is redrawn until a free BS results. Redraws never touch earlier UEs, so
     the first j placements are identical for any k >= j under the same
     stream.
+
+    Candidates are drawn in blocks of 4 N. Path loss rises with distance and
+    is flat inside the clamp, so each candidate's strongest BS is the one at
+    the least clamped distance (ties: lowest index).
     """
     if not 1 <= k <= topology.n_bs:
         raise ConfigurationError(
             f"cannot place {k} UEs on {topology.n_bs} BSs with <= 1 UE per BS"
         )
-    positions = np.empty((k, 2))
-    serving = np.empty(k, dtype=int)
-    taken = set()
-    for ue in range(k):
-        while True:
-            pos = rng.uniform(0.0, topology.area_side, size=2)
-            bs = strongest_bs(pos, topology)
-            if bs not in taken:
+    saved = rng.bit_generator.state
+    serving, picked, drawn = [], [], 0
+    while len(serving) < k:
+        block = rng.uniform(0.0, topology.area_side, size=(4 * topology.n_bs, 2))
+        d = np.clip(pairwise_distances(block, topology.bs_positions), D_MIN_M, D_MAX_M)
+        for c, bs in enumerate(d.argmin(axis=1).tolist(), start=drawn):
+            if bs not in serving:
+                serving.append(bs)
+                picked.append(c)
+            if len(serving) == k:
                 break
-        positions[ue] = pos
-        serving[ue] = bs
-        taken.add(bs)
-    return UePlacement(positions=positions, serving_bs=serving)
+        drawn = c + 1
+    # rewind and redraw just the candidates used, as a one-at-a-time drop would
+    rng.bit_generator.state = saved
+    candidates = rng.uniform(0.0, topology.area_side, size=(drawn, 2))
+    return UePlacement(positions=candidates[picked], serving_bs=serving)

@@ -13,11 +13,12 @@ import pytest
 
 from dtddsim import (SimulationConfig, assemble_m, baseline_sinrs,
                      build_precoder, draw_channel, evaluate_scheme,
-                     generate_snapshot, build_grid, noise_power, power_lp_oracle,
+                     generate_snapshot, build_grid, noise_power,
                      run_sweep, solve_power_lp, v_ul, v_ul_max, write_results,
                      TrafficConfig)
 
 from conftest import random_scene, unit_columns
+from oracles import power_lp_oracle
 
 SEED = 2026
 

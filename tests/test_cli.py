@@ -109,3 +109,22 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("radio", "p_b_max_w", "0.1"),
+    ("radio", "p_u_max_w", float("nan")),
+    (None, "snapshots_per_point", "5"),
+    (None, "n_bs", True),
+    (None, "utilizations", [0.25, None]),
+    ("traffic", "require_mixed_traffic", "yes"),
+])
+def test_main_reports_wrongly_typed_values(tmp_path, capsys, section, key, value):
+    path = write_config(tmp_path / "cfg.json")
+    raw = json.loads(path.read_text())
+    (raw[section] if section else raw)[key] = value
+    path.write_text(json.dumps(raw))
+    rc = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err

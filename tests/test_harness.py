@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dtddsim import (ConfigurationError, Record, RunResult, SimulationConfig,
-                     SingularChannelError, derive_stream, run_sweep,
+                     SingularChannelError, build_grid, derive_stream, run_sweep,
                      write_results, __version__)
 from dtddsim.harness import CSV_HEADER, realize_point
 import dtddsim.harness as harness
@@ -75,8 +76,9 @@ def test_schemes_share_snapshot_realizations():
 
 def test_realize_point_is_pure():
     cfg = small_config()
-    s1, c1 = realize_point(cfg, 1, 3)
-    s2, c2 = realize_point(cfg, 1, 3)
+    topology = build_grid(cfg.n_bs, cfg.area_side)
+    s1, c1 = realize_point(cfg, topology, 1, 3)
+    s2, c2 = realize_point(cfg, topology, 1, 3)
     np.testing.assert_array_equal(s1.ue_placement.positions, s2.ue_placement.positions)
     np.testing.assert_array_equal(c1.h_dl, c2.h_dl)
     np.testing.assert_array_equal(c1.f_bs, c2.f_bs)
@@ -184,3 +186,19 @@ def test_records_sorted_by_scheme_then_point():
     res = run_sweep(small_config(snapshots_per_point=4))
     keys = [(r.scheme, r.utilization, r.snapshot) for r in res.records]
     assert keys == sorted(keys)
+
+
+def test_schemes_share_per_snapshot_work(monkeypatch):
+    calls = Counter()
+    for name in ("baseline_sinrs", "build_precoder"):
+        def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    res = run_sweep(small_config(utilizations=(0.5, 1.0), snapshots_per_point=10))
+    # baseline SINRs once per snapshot; a precoder for JT, and for JT-DS only
+    # when it has dummy streams (none at full load), else JT's result is reused
+    with_dummies = [r for r in res.records if r.scheme == "jt_ds" and r.v_ul > 0]
+    assert calls["baseline_sinrs"] == 20
+    assert calls["build_precoder"] == 20 + len(with_dummies)
+    assert 0 < len(with_dummies) <= 10

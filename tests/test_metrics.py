@@ -6,10 +6,9 @@ import pytest
 from dtddsim import (ChannelRealization, ConfigurationError, RadioParams,
                      Snapshot, UePlacement, aggregate, assemble_m,
                      baseline_sinrs, build_channel_realization, build_grid,
-                     build_precoder, evaluate_scheme, jt_sinrs,
-                     sinr_downlink_jt, sinr_uplink_jt, solve_power_lp, v_ul,
-                     v_ul_max, zf_precoder)
-from dtddsim.metrics import SnapshotMetrics, snapshot_metrics, uplink_only_sinrs
+                     build_precoder, evaluate_scheme, jt_sinrs, solve_power_lp,
+                     v_ul, v_ul_max, zf_precoder)
+from dtddsim.metrics import SnapshotMetrics, snapshot_metrics
 
 from conftest import random_scene
 
@@ -29,25 +28,31 @@ def channel_of(h_dl=None, f_bs=None, g_ue=None, h_ul=None, n_dl_count=1):
     )
 
 
+def sinrs_of(chan, w, p):
+    """jt_sinrs on a channel_of channel: UE i < K_dl is downlink slot i, the
+    rest are the uplink slots; default radio (P_u = 0.1 W, noise SIGMA2)."""
+    k_dl, k = len(chan.dl_ues), len(chan.dl_ues) + len(chan.ul_ues)
+    snap = Snapshot(ue_placement=UePlacement(np.zeros((k, 2)), np.arange(k)),
+                    is_downlink=np.arange(k) < k_dl, n_bs=k)
+    return jt_sinrs(snap, chan, RadioParams(), np.asarray(w), np.asarray(p))
+
+
 def test_downlink_sinr_interference_free_point():
     # |h^H w|^2 p = 1e-10 W over sigma^2 = 10^-12.5 W -> gamma = 10^2.5
     chan = channel_of(h_dl=[[1.0]])
-    gamma = sinr_downlink_jt(0, chan, np.array([[1.0 + 0j]]), np.array([1e-10]),
-                             p_u=0.1, noise_w=SIGMA2)
+    gamma = sinrs_of(chan, [[1.0 + 0j]], [1e-10])[0]
     assert math.isclose(gamma, 316.22776601683796, rel_tol=1e-9)
 
 
 def test_downlink_sinr_zero_power_gives_zero():
     chan = channel_of(h_dl=[[0.5 + 0.1j]])
-    assert sinr_downlink_jt(0, chan, np.array([[1.0 + 0j]]), np.array([0.0]),
-                            0.1, SIGMA2) == 0.0
+    assert sinrs_of(chan, [[1.0 + 0j]], [0.0])[0] == 0.0
 
 
 def test_downlink_sinr_with_ue_to_ue_interference():
     g = 2e-4 + 1e-4j
     chan = channel_of(h_dl=[[1.0]], g_ue=[[g]], h_ul=[[1.0]], f_bs=[[0.0]])
-    gamma = sinr_downlink_jt(0, chan, np.array([[1.0 + 0j]]), np.array([1e-10]),
-                             p_u=0.1, noise_w=SIGMA2)
+    gamma = sinrs_of(chan, [[1.0 + 0j]], [1e-10])[0]
     expected = 1e-10 / (SIGMA2 + abs(g) ** 2 * 0.1)
     assert math.isclose(gamma, expected, rel_tol=1e-12)
 
@@ -64,7 +69,7 @@ def test_downlink_zf_leakage_is_negligible():
             desired = abs(hw[i]) ** 2 * p[i]
             leak = abs(hw[1 - i]) ** 2 * p[1 - i]
             assert leak < 1e-15 * desired
-            gamma = sinr_downlink_jt(i, chan, w, p, 0.1, SIGMA2)
+            gamma = sinrs_of(chan, w, p)[i]
             assert math.isclose(gamma, desired / (SIGMA2 + leak), rel_tol=1e-12)
 
 
@@ -73,7 +78,7 @@ def test_uplink_sinr_single_ue_no_downlink():
     chan = channel_of(h_ul=[[h]], f_bs=[[0.0]], n_dl_count=1)
     w = np.zeros((1, 0), complex)
     p = np.zeros(0)
-    gamma = sinr_uplink_jt(0, chan, w, p, p_u=0.1, noise_w=SIGMA2)
+    gamma = sinrs_of(chan, w, p)[0]
     assert math.isclose(gamma, abs(h) ** 2 * 0.1 / SIGMA2, rel_tol=1e-12)
 
 
@@ -84,7 +89,7 @@ def test_uplink_sinr_two_ues_no_downlink():
     w = np.zeros((1, 0), complex)
     p = np.zeros(0)
     for j in range(2):
-        got = sinr_uplink_jt(j, chan, w, p, 0.1, SIGMA2)
+        got = sinrs_of(chan, w, p)[j]
         want = abs(h[j, j]) ** 2 / (SIGMA2 / 0.1 + abs(h[1 - j, j]) ** 2)
         assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -151,9 +156,10 @@ def test_baseline_one_dl_one_ul_interference_terms():
 
 
 def test_uplink_only_matches_baseline_when_no_downlink():
+    # uplink-only operation is joint transmission with no precoder columns
     snap, chan, params = random_scene(seed=5, dl_probability=0.0, require_mixed=False)
-    np.testing.assert_allclose(uplink_only_sinrs(snap, chan, params),
-                               baseline_sinrs(snap, chan, params), rtol=1e-15)
+    uplink_only = jt_sinrs(snap, chan, params, np.zeros((snap.n_dl_count, 0)), np.zeros(0))
+    np.testing.assert_allclose(uplink_only, baseline_sinrs(snap, chan, params), rtol=1e-15)
 
 
 def test_rate_log2_consistency():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dtddsim import (ConfigurationError, baseline_powers, log_objective_oracle,
-                     power_lp_oracle, solve_power_lp)
+from dtddsim import ConfigurationError, baseline_powers, solve_power_lp
 from dtddsim.power import _simplex_max
 
 from conftest import random_scene, unit_columns
+from oracles import log_objective_oracle, power_lp_oracle
 
 P_B = 0.1
 

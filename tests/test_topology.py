@@ -3,7 +3,7 @@ import pytest
 
 from dtddsim import ConfigurationError, Topology, build_grid, drop_ues
 from dtddsim.channel import path_loss_db
-from dtddsim.topology import pairwise_distances, strongest_bs
+from dtddsim.topology import pairwise_distances
 
 
 def test_single_bs_sits_at_area_center():
@@ -89,12 +89,13 @@ def test_association_is_strongest_bs_with_index_tiebreak():
 
 
 def test_tiebreak_prefers_lowest_index_under_clamp():
-    # both BSs are within the 3 m path-loss clamp of the probe point, so
-    # their path losses tie exactly and the lower index must win
-    topo = Topology(bs_positions=np.array([[10.0, 10.0], [11.0, 10.0],
-                                           [30.0, 30.0], [31.0, 30.0]]),
-                    area_side=40.0)
-    assert strongest_bs(np.array([10.5, 10.0]), topo) == 0
+    # every point of the 2 m area is within the 3 m path-loss clamp of all
+    # four BSs, so their path losses tie exactly and the lower index must win
+    topo = Topology(bs_positions=np.array([[0.5, 0.5], [1.5, 0.5],
+                                           [0.5, 1.5], [1.5, 1.5]]),
+                    area_side=2.0)
+    for seed in range(5):
+        assert drop_ues(topo, 1, np.random.default_rng(seed)).serving_bs[0] == 0
 
 
 def test_prefix_stable_under_redraws():
