@@ -13,7 +13,7 @@ Compares three transmission schemes on shared traffic/channel snapshots:
 
 __version__ = "0.1.0"
 
-from .exceptions import ConfigurationError, SingularChannelError
+from .exceptions import ConfigurationError, NumericalError, SingularChannelError
 from .topology import Topology, UePlacement, build_grid, drop_ues
 from .channel import (
     ChannelRealization,
@@ -58,6 +58,7 @@ from .harness import (
 __all__ = [
     "__version__",
     "ConfigurationError",
+    "NumericalError",
     "SingularChannelError",
     "Topology",
     "UePlacement",

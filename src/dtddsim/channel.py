@@ -7,6 +7,7 @@ reciprocity is assumed.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,6 +84,21 @@ def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
     return float(10.0 ** ((dbm - 30.0) / 10.0))
 
 
+def _amplitude(pl):
+    """Amplitude gain sqrt(10^(-PL/10)) of dB path-loss values."""
+    return np.sqrt(10.0 ** (-pl / 10.0))
+
+
+def _fading(amplitude, normals):
+    """amplitude * z, z ~ CN(0, 1), from 2 * amplitude.size standard normals.
+
+    The first half of normals gives the real parts and the second half the
+    imaginary parts, both in C order over amplitude's shape.
+    """
+    re, im = normals.reshape(2, *amplitude.shape)
+    return amplitude * ((re + 1j * im) / np.sqrt(2.0))
+
+
 def draw_channel(path_loss, rng: np.random.Generator):
     """Complex gain(s) sqrt(10^(-PL/10)) * z, z ~ CN(0, 1).
 
@@ -90,8 +106,7 @@ def draw_channel(path_loss, rng: np.random.Generator):
     fading draw is made per entry. E[|result|^2] equals the path gain.
     """
     pl = np.asarray(path_loss, dtype=float)
-    z = (rng.standard_normal(pl.shape) + 1j * rng.standard_normal(pl.shape)) / np.sqrt(2.0)
-    out = np.sqrt(10.0 ** (-pl / 10.0)) * z
+    out = _fading(_amplitude(pl), rng.standard_normal(2 * pl.size))
     return out if out.ndim else complex(out)
 
 
@@ -99,30 +114,31 @@ def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
                               rng: np.random.Generator) -> ChannelRealization:
     """Draw all four coefficient matrices for one snapshot.
 
-    Matrices are filled in a fixed order (h_dl, f_bs, g_ue, h_ul) so a given
-    (snapshot, stream state) pair always produces the identical realization.
-    The four matrices cover disjoint (tx, rx) pair types, so every physical
-    pair is drawn exactly once.
+    One amplitude table covers every pair of nodes (UEs, then BSs), and each
+    matrix takes its entries from it. The fading comes from one normal draw,
+    consumed in a fixed order: h_dl, f_bs, g_ue, h_ul, each as its real parts
+    then its imaginary parts. A given (snapshot, stream state) pair therefore
+    always produces the identical realization, the same one as drawing each
+    matrix with draw_channel in that order. The four matrices cover disjoint
+    (tx, rx) pair types, so every physical pair is drawn exactly once.
     """
-    ue_pos = snapshot.ue_placement.positions
-    bs_pos = topology.bs_positions
-    f = params.carrier_freq_ghz
-
-    dl_ue_pos = ue_pos[snapshot.dl_ues]
-    ul_ue_pos = ue_pos[snapshot.ul_ues]
-    dl_bs_pos = bs_pos[snapshot.n_dl]
-    ul_bs_pos = bs_pos[snapshot.ul_bs]
-
-    h_dl = draw_channel(path_loss_db(pairwise_distances(dl_ue_pos, dl_bs_pos), f), rng)
-    f_bs = draw_channel(path_loss_db(pairwise_distances(ul_bs_pos, dl_bs_pos), f), rng)
-    g_ue = draw_channel(path_loss_db(pairwise_distances(dl_ue_pos, ul_ue_pos), f), rng)
-    h_ul = draw_channel(path_loss_db(pairwise_distances(ul_ue_pos, ul_bs_pos), f), rng)
-
+    k = snapshot.k
+    nodes = np.concatenate([snapshot.ue_placement.positions, topology.bs_positions])
+    amplitude = _amplitude(path_loss_db(pairwise_distances(nodes, nodes),
+                                        params.carrier_freq_ghz))
+    dl_bs, ul_bs = k + snapshot.n_dl, k + snapshot.ul_bs
+    blocks = [amplitude[rows[:, None], cols] for rows, cols in (
+        (snapshot.dl_ues, dl_bs),            # h_dl
+        (ul_bs, dl_bs),                      # f_bs
+        (snapshot.dl_ues, snapshot.ul_ues),  # g_ue
+        (snapshot.ul_ues, ul_bs),            # h_ul
+    )]
+    ends = list(accumulate(2 * b.size for b in blocks))
+    normals = rng.standard_normal(ends[-1])
+    h_dl, f_bs, g_ue, h_ul = (_fading(b, normals[end - 2 * b.size:end])
+                              for b, end in zip(blocks, ends))
     return ChannelRealization(
-        h_dl=np.asarray(h_dl).reshape(len(dl_ue_pos), len(dl_bs_pos)),
-        f_bs=np.asarray(f_bs).reshape(len(ul_bs_pos), len(dl_bs_pos)),
-        g_ue=np.asarray(g_ue).reshape(len(dl_ue_pos), len(ul_ue_pos)),
-        h_ul=np.asarray(h_ul).reshape(len(ul_ue_pos), len(ul_bs_pos)),
+        h_dl=h_dl, f_bs=f_bs, g_ue=g_ue, h_ul=h_ul,
         dl_ues=snapshot.dl_ues.copy(),
         ul_ues=snapshot.ul_ues.copy(),
         n_dl=snapshot.n_dl.copy(),

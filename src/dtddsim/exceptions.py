@@ -5,7 +5,15 @@ class ConfigurationError(ValueError):
     """Invalid or inconsistent simulation configuration."""
 
 
-class SingularChannelError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical routine failed on one snapshot's data.
+
+    The sweep harness records the snapshot's scheme evaluation as failed and
+    carries on with the rest of the sweep.
+    """
+
+
+class SingularChannelError(NumericalError):
     """Compound channel matrix is rank deficient beyond tolerance.
 
     Raised by the precoder when the smallest singular value falls below

@@ -8,9 +8,9 @@ independent of worker count and scheduling order.
 
 import dataclasses
 import json
+import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -18,13 +18,13 @@ import numpy as np
 
 from . import __version__
 from .channel import RadioParams, build_channel_realization
-from .exceptions import ConfigurationError, SingularChannelError
+from .exceptions import ConfigurationError, NumericalError
 from .metrics import (SnapshotMetrics, aggregate, baseline_sinrs, jt_sinrs,
                       snapshot_metrics)
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
 from .snapshot import TrafficConfig, generate_snapshot
-from .topology import Topology, build_grid
+from .topology import D_MIN_M, Topology, build_grid
 
 SCHEMES = ("baseline", "jt", "jt_ds")
 
@@ -72,6 +72,16 @@ class SimulationConfig:
             raise ConfigurationError("snapshots_per_point must be >= 1")
         if self.delta < 0:
             raise ConfigurationError("delta must be >= 0")
+        # BSs no farther apart than the path-loss clamp tie for the UEs near
+        # them, and a BS that is never strictly strongest never gets a UE:
+        # the drop would redraw forever. Wider apart, each BS is strictly
+        # strongest around its own position.
+        if self.n_bs >= 1:
+            spacing = self.area_side / math.sqrt(self.n_bs)
+            if spacing <= D_MIN_M:
+                raise ConfigurationError(
+                    f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must "
+                    f"exceed the {D_MIN_M:g} m path-loss clamp")
         if self.worker_count != "auto":
             try:
                 workers = int(self.worker_count)
@@ -171,7 +181,7 @@ def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
     u_idx, s_idx = task
     utilization = config.utilizations[u_idx]
     snap, chan = realize_point(config, topology, u_idx, s_idx)
-    results = {}  # evaluated pipeline -> SnapshotMetrics, None if singular
+    results = {}  # evaluated pipeline -> SnapshotMetrics, None if it failed
     records = []
     for scheme in SCHEMES:
         if scheme not in config.schemes:
@@ -184,7 +194,7 @@ def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
                 results[pipeline] = evaluate_scheme(
                     pipeline, snap, chan, config.radio, config.delta,
                     None if base is None else base.per_ue_sinr)
-            except SingularChannelError:
+            except NumericalError:
                 results[pipeline] = None
         m = results[pipeline]
         if m is None:
@@ -207,9 +217,11 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     """Run every (scheme, utilization, snapshot) combination and aggregate.
 
     Snapshot/channel realizations are generated once per (utilization,
-    snapshot) and shared across schemes. Failed (rank-deficient) snapshots
-    are kept in the record list with their flag set and excluded from the
-    aggregates; a failure rate above 1% triggers a warning.
+    snapshot) and shared across schemes. Scheme evaluations that fail
+    numerically (a rank-deficient channel, an SVD that does not converge, an
+    LP the simplex cannot solve) are kept in the record list with their flag
+    set and excluded from the aggregates; a failure rate above 1% triggers a
+    warning.
     """
     topology = build_grid(config.n_bs, config.area_side)
     tasks = [(u_idx, s_idx)
@@ -220,6 +232,9 @@ def run_sweep(config: SimulationConfig) -> RunResult:
         per_task = [_run_task(config, topology, t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
+        # imported here: the process pool pulls in multiprocessing, which a
+        # one-worker sweep never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(partial(_run_task, config, topology), tasks,
                                      chunksize=chunk))
@@ -266,7 +281,7 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     failure_rate = n_failed_total / max(len(records), 1)
     if failure_rate > FAILURE_RATE_WARN:
         warnings.warn(f"{failure_rate:.2%} of snapshot evaluations failed "
-                      "(rank-deficient channels)", RuntimeWarning)
+                      "(numerical failures)", RuntimeWarning)
     return RunResult(records=records, summaries=summaries, config=config,
                      version=__version__)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, NumericalError
 
 
 @dataclass
@@ -37,7 +37,8 @@ def _simplex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-11
 
     Dense tableau simplex starting from the slack basis (the origin is
     feasible). Bland's rule on both the entering and leaving choice, so the
-    method cannot cycle.
+    method cannot cycle. Raises NumericalError if the LP is unbounded, if
+    rounding leaves no row in the ratio test, or if the pivots run out.
     """
     m, n = a.shape
     t = np.zeros((m + 1, n + m + 1))
@@ -56,10 +57,12 @@ def _simplex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-11
         col = t[:m, entering]
         rows = (col > tol).nonzero()[0]
         if not rows.size:
-            raise RuntimeError("LP is unbounded")
+            raise NumericalError("LP is unbounded")
         ratios = rhs[rows] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + tol * (1.0 + best)]
+        if not ties.size:  # best < -1: rounding left a right-hand side negative
+            raise NumericalError("simplex lost primal feasibility to rounding")
         leaving = ties[basis[ties].argmin()]
         t[leaving] /= t[leaving, entering]
         # eliminate the entering column from every other row: the same
@@ -69,7 +72,7 @@ def _simplex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-11
         factor[leaving] = 0.0
         t -= factor[:, None] * t[leaving]
         basis[leaving] = entering
-    raise RuntimeError("simplex failed to converge")
+    raise NumericalError("simplex failed to converge")
 
 
 def _antenna_gains(w: np.ndarray, k_dl: int) -> np.ndarray:

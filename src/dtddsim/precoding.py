@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .exceptions import ConfigurationError, SingularChannelError
+from .exceptions import ConfigurationError, NumericalError, SingularChannelError
 
 # Relative smallest-singular-value cutoff below which a draw is treated as a
 # failed snapshot rather than inverted into garbage.
@@ -109,9 +109,13 @@ def zf_precoder(m: np.ndarray):
             column norms).
     Raises:
         SingularChannelError: smallest singular value <= RANK_TOL * largest.
+        NumericalError: the SVD did not converge.
     """
     m = np.asarray(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    try:
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of the compound channel matrix failed: {exc}") from exc
     if s[-1] <= RANK_TOL * s[0]:
         raise SingularChannelError(
             f"compound channel matrix is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"

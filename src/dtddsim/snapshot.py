@@ -57,7 +57,9 @@ class Snapshot:
         self.dl_ues = np.flatnonzero(self.is_downlink)
         self.ul_ues = np.flatnonzero(~self.is_downlink)
         self.ul_bs = serving[self.ul_ues]
-        self.n_dl = np.setdiff1d(np.arange(self.n_bs), self.ul_bs)
+        is_dl_bs = np.ones(self.n_bs, dtype=bool)
+        is_dl_bs[self.ul_bs] = False
+        self.n_dl = np.flatnonzero(is_dl_bs)
 
     @property
     def k(self) -> int:

@@ -1,9 +1,10 @@
 """Reference implementations that the tests compare the package against.
 
 Each is the straightforward form of a computation the package does in a
-faster, array-shaped way: the per-UE SINR loops, the one-at-a-time UE drop,
-the row-by-row simplex, and two desk-scale power-allocation oracles (exact
-vertex enumeration for the LP and the concave log-sum objective it relaxes).
+faster, array-shaped way: the per-matrix channel draw, the per-UE SINR
+loops, the one-at-a-time UE drop, the row-by-row simplex, and two
+desk-scale power-allocation oracles (exact vertex enumeration for the LP
+and the concave log-sum objective it relaxes).
 """
 
 from itertools import combinations
@@ -11,8 +12,10 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
-from dtddsim import ConfigurationError, PowerAllocation, UePlacement, path_loss_db
+from dtddsim import (ChannelRealization, ConfigurationError, PowerAllocation,
+                     UePlacement, path_loss_db)
 from dtddsim.power import _antenna_gains, baseline_powers, solve_power_lp
+from dtddsim.topology import pairwise_distances
 
 _FEAS_TOL = 1e-9
 # vertex-enumeration oracle stays exact only at desk scale
@@ -22,6 +25,47 @@ _ORACLE_MAX_N_DL = 6
 # Association frequency; the path-loss frequency term is a distance-independent
 # offset, so the strongest-BS ordering is the same at any carrier.
 _ASSOC_FREQ_GHZ = 2.0
+
+
+# --- channel -----------------------------------------------------------------
+
+def draw_channel(path_loss, rng):
+    """sqrt(10^(-PL/10)) * z per entry: the real parts drawn, then the imaginary."""
+    pl = np.asarray(path_loss, dtype=float)
+    z = (rng.standard_normal(pl.shape) + 1j * rng.standard_normal(pl.shape)) / np.sqrt(2.0)
+    out = np.sqrt(10.0 ** (-pl / 10.0)) * z
+    return out if out.ndim else complex(out)
+
+
+def build_channel_realization(snapshot, topology, params, rng):
+    """Each matrix from its own distances, path loss and fading draw.
+
+    Matrices are drawn in the order h_dl, f_bs, g_ue, h_ul.
+    """
+    ue_pos = snapshot.ue_placement.positions
+    bs_pos = topology.bs_positions
+    f = params.carrier_freq_ghz
+
+    dl_ue_pos = ue_pos[snapshot.dl_ues]
+    ul_ue_pos = ue_pos[snapshot.ul_ues]
+    dl_bs_pos = bs_pos[snapshot.n_dl]
+    ul_bs_pos = bs_pos[snapshot.ul_bs]
+
+    h_dl = draw_channel(path_loss_db(pairwise_distances(dl_ue_pos, dl_bs_pos), f), rng)
+    f_bs = draw_channel(path_loss_db(pairwise_distances(ul_bs_pos, dl_bs_pos), f), rng)
+    g_ue = draw_channel(path_loss_db(pairwise_distances(dl_ue_pos, ul_ue_pos), f), rng)
+    h_ul = draw_channel(path_loss_db(pairwise_distances(ul_ue_pos, ul_bs_pos), f), rng)
+
+    return ChannelRealization(
+        h_dl=np.asarray(h_dl).reshape(len(dl_ue_pos), len(dl_bs_pos)),
+        f_bs=np.asarray(f_bs).reshape(len(ul_bs_pos), len(dl_bs_pos)),
+        g_ue=np.asarray(g_ue).reshape(len(dl_ue_pos), len(ul_ue_pos)),
+        h_ul=np.asarray(h_ul).reshape(len(ul_ue_pos), len(ul_bs_pos)),
+        dl_ues=snapshot.dl_ues.copy(),
+        ul_ues=snapshot.ul_ues.copy(),
+        n_dl=snapshot.n_dl.copy(),
+        ul_bs=snapshot.ul_bs.copy(),
+    )
 
 
 # --- SINRs -----------------------------------------------------------------
@@ -181,6 +225,8 @@ def simplex_max(c, a, b, tol=1e-11):
         ratios[pos] = t[:m, -1][pos] / col[pos]
         best = ratios.min()
         ties = [i for i in range(m) if pos[i] and ratios[i] <= best + tol * (1.0 + best)]
+        if not ties:
+            raise RuntimeError("simplex lost primal feasibility to rounding")
         leaving = min(ties, key=lambda i: basis[i])
         t[leaving] /= t[leaving, entering]
         for r in range(m + 1):

@@ -104,6 +104,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_main_rejects_bs_spacing_inside_path_loss_clamp(tmp_path, capsys):
+    # every point of a 2 m area is within 3 m of all 16 BSs: only BS 0 is
+    # ever strongest, so dropping a second UE would never end
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"area_side": 2.0, "utilizations": [0.25],
+                                "snapshots_per_point": 1}))
+    rc = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "spacing" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,21 +3,22 @@
 SINRs are compared within a tolerance fixed from the float64 epsilon: the
 matrix form sums in another order, and the oracle's baseline takes the
 interference as row total minus the desired term, which is off by up to a
-few ulp of the desired power, i.e. a few eps * (1 + SINR) relative. The UE
-drop and the simplex do the same arithmetic as their oracles, so they must
-agree exactly.
+few ulp of the desired power, i.e. a few eps * (1 + SINR) relative. The
+channel draw, the UE drop and the simplex do the same arithmetic as their
+oracles, so they must agree exactly.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from conftest import random_scene
-from dtddsim import (SingularChannelError, Topology, baseline_sinrs, build_grid,
-                     build_precoder, drop_ues, jt_sinrs, path_loss_db,
-                     solve_power_lp, v_ul, v_ul_max)
+from dtddsim import (RadioParams, SingularChannelError, Topology, TrafficConfig,
+                     baseline_sinrs, build_channel_realization, build_grid,
+                     build_precoder, draw_channel, drop_ues, generate_snapshot,
+                     jt_sinrs, path_loss_db, solve_power_lp, v_ul, v_ul_max)
 from dtddsim.power import _simplex_max
 from dtddsim.topology import pairwise_distances
 
@@ -81,6 +82,12 @@ def quick_drop_limit(topology):
     return int((np.bincount(strongest, minlength=topology.n_bs) >= 41).sum())
 
 
+def assert_same_stream(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(0, 2**31) == b.integers(0, 2**31)
+    assert a.random() == b.random()
+
+
 @settings(max_examples=150, deadline=None)
 @given(topology=topologies(), seed=seeds, data=st.data(),
        pre_draw=st.sampled_from([None, "uint32", "double"]))
@@ -96,9 +103,48 @@ def test_block_drop_matches_one_at_a_time_oracle(topology, seed, data, pre_draw)
     want = oracles.drop_ues(topology, k, rngs[1])
     np.testing.assert_array_equal(got.positions, want.positions)
     np.testing.assert_array_equal(got.serving_bs, want.serving_bs)
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    assert rngs[0].integers(0, 2**31) == rngs[1].integers(0, 2**31)
-    assert rngs[0].random() == rngs[1].random()
+    assert_same_stream(*rngs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology=topologies(), seed=seeds, data=st.data(),
+       dl_probability=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+       carrier_freq_ghz=st.sampled_from([2.0, 3.5, 5.0]))
+def test_one_pass_realization_matches_per_matrix_oracle(topology, seed, data,
+                                                        dl_probability, carrier_freq_ghz):
+    # dl_probability 0 and 1 give K_dl = 0 and K_ul = 0: empty matrices
+    k = data.draw(st.integers(1, quick_drop_limit(topology)))
+    traffic = TrafficConfig(utilization=k / topology.n_bs, dl_probability=dl_probability)
+    snap = generate_snapshot(topology, traffic, np.random.default_rng(seed))
+    assert snap.k == k
+    n_dl = np.setdiff1d(np.arange(topology.n_bs), snap.ul_bs)  # the sorted complement
+    assert snap.n_dl.dtype == n_dl.dtype
+    np.testing.assert_array_equal(snap.n_dl, n_dl)
+
+    params = RadioParams(carrier_freq_ghz=carrier_freq_ghz)
+    rngs = [np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)]
+    got = build_channel_realization(snap, topology, params, rngs[0])
+    want = oracles.build_channel_realization(snap, topology, params, rngs[1])
+    for name in ("h_dl", "f_bs", "g_ue", "h_ul", "dl_ues", "ul_ues", "n_dl", "ul_bs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        assert a.tobytes() == b.tobytes(), name
+    assert_same_stream(*rngs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path_loss=st.one_of(
+    st.floats(0.0, 150.0),
+    arrays(float, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+           elements=st.floats(0.0, 150.0))), seed=seeds)
+def test_draw_channel_matches_two_draw_oracle(path_loss, seed):
+    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    got = draw_channel(path_loss, rngs[0])
+    want = oracles.draw_channel(path_loss, rngs[1])
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.shape(got) == np.shape(want)
+    assert_same_stream(*rngs)
 
 
 lp_entries = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from dtddsim import (ConfigurationError, Record, RunResult, SimulationConfig,
-                     SingularChannelError, build_grid, derive_stream, run_sweep,
-                     write_results, __version__)
+from dtddsim import (ConfigurationError, NumericalError, Record, RunResult,
+                     SimulationConfig, SingularChannelError, build_grid, derive_stream,
+                     run_sweep, write_results, __version__)
 from dtddsim.harness import CSV_HEADER, realize_point
+import dtddsim
 import dtddsim.harness as harness
 
 
@@ -161,6 +165,38 @@ def test_failed_snapshots_are_flagged_and_excluded(tmp_path, monkeypatch):
     assert ",nan," in (tmp_path / "records.csv").read_text()
 
 
+@pytest.mark.parametrize("module, name, error", [
+    (harness, "solve_power_lp", NumericalError("LP is unbounded")),
+    (np.linalg, "svd", np.linalg.LinAlgError("SVD did not converge")),  # in zf_precoder
+])
+def test_numerical_failures_are_flagged_and_excluded(monkeypatch, module, name, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, failing)
+    cfg = small_config(snapshots_per_point=10, utilizations=(0.5,))
+    with pytest.warns(RuntimeWarning, match="failed"):
+        res = run_sweep(cfg)
+    assert len(res.records) == 30
+    for r in res.records:
+        assert r.failed == (r.scheme != "baseline")
+        assert math.isnan(r.sum_rate_bps) == r.failed
+    by_scheme = {e["scheme"]: e for e in res.summaries}
+    assert by_scheme["jt"]["n_failed"] == by_scheme["jt_ds"]["n_failed"] == 10
+    assert by_scheme["baseline"]["n_failed"] == 0
+
+
+def test_package_import_loads_no_pool_or_scipy():
+    # a fresh interpreter: this one has imported scipy for the test oracles
+    code = ("import sys, dtddsim\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'scipy') or m == 'concurrent.futures.process'))")
+    src = os.path.dirname(os.path.dirname(dtddsim.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         SimulationConfig(schemes=("jt", "bogus"))
@@ -180,6 +216,12 @@ def test_config_validation():
         SimulationConfig(delta=-1)
     with pytest.raises(ConfigurationError):
         SimulationConfig(worker_count=0)
+    # BS spacing at or below the 3 m path-loss clamp
+    with pytest.raises(ConfigurationError, match="spacing"):
+        SimulationConfig(area_side=2.0)
+    with pytest.raises(ConfigurationError, match="spacing"):
+        SimulationConfig(n_bs=16, area_side=12.0)
+    SimulationConfig(n_bs=16, area_side=12.5)
 
 
 def test_records_sorted_by_scheme_then_point():

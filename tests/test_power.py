@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from dtddsim import ConfigurationError, baseline_powers, solve_power_lp
-from dtddsim.power import _simplex_max
+from dtddsim import ConfigurationError, NumericalError, baseline_powers, solve_power_lp
+from dtddsim.power import _antenna_gains, _simplex_max
 
 from conftest import random_scene, unit_columns
 from oracles import log_objective_oracle, power_lp_oracle
@@ -81,9 +84,43 @@ def test_zero_column_rejected():
         power_lp_oracle(w, P_B, 1)
 
 
+def test_simplex_reports_lost_feasibility():
+    # the pivot on 2^-23 leaves row 0's right-hand side at -eps * 2^23, so the
+    # next ratio test's minimum is about -2 and its tie band [best, best +
+    # tol * (1 + best)] holds no row; this used to escape as a ValueError
+    eps = np.finfo(float).eps
+    a = np.full((4, 7), eps)
+    a[3, :2] = 2.0 ** -23, -0.5
+    b = np.array([0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NumericalError, match="lost primal feasibility"):
+        _simplex_max(np.ones(7), a, b)
+
+
 def test_simplex_detects_unbounded():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(NumericalError, match="unbounded"):
         _simplex_max(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 16), data=st.data(),
+       p_b=st.sampled_from([P_B, 1.0, 2.5e-3]))
+def test_lp_matches_highs_at_full_size(seed, n_rows, data, p_b):
+    # beyond the vertex oracle's K_dl <= 3, N_dl <= 6: feasible, and the
+    # objective of an independent solver
+    n_cols = data.draw(st.integers(1, 16))
+    k_dl = data.draw(st.integers(1, n_cols))
+    w = unit_columns(np.random.default_rng(seed), n_rows, n_cols)
+    p = solve_power_lp(w, p_b, k_dl).p
+    a = _antenna_gains(w, k_dl)
+    assert np.all(p >= 0) and np.all(p[k_dl:] == 0)
+    assert np.all(a @ p[:k_dl] <= p_b * (1 + 1e-12))
+    # HiGHS's default feasibility tolerance is 1e-7 absolute, which lets its
+    # objective overshoot the optimum by ~1e-6 relative at p_b = 2.5 mW
+    ref = linprog(-np.ones(k_dl), A_ub=a, b_ub=np.full(n_rows, p_b), bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert ref.status == 0
+    assert abs(p.sum() + ref.fun) <= 1e-9 * -ref.fun
 
 
 def test_log_oracle_single_variable_matches_lp():

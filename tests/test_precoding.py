@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dtddsim import (ChannelRealization, ConfigurationError, SingularChannelError,
-                     assemble_m, baseline_sinrs, build_precoder, select_uplink_bs,
-                     v_ul, v_ul_max, zf_precoder)
+from dtddsim import (ChannelRealization, ConfigurationError, NumericalError,
+                     SingularChannelError, assemble_m, baseline_sinrs, build_precoder,
+                     select_uplink_bs, v_ul, v_ul_max, zf_precoder)
 
 from conftest import random_scene
 
@@ -119,6 +119,17 @@ def test_zf_diagonalizes_random_matrix():
     np.testing.assert_allclose(diag.real, gains, rtol=1e-12)
     off = prod - np.diag(diag)
     assert np.max(np.abs(off)) < 1e-10 * np.linalg.norm(m, 2)
+
+
+def test_zf_wraps_svd_failure_as_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError, match="SVD did not converge") as exc:
+        zf_precoder(np.eye(2, 4, dtype=complex))
+    assert not isinstance(exc.value, SingularChannelError)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_zf_rejects_rank_deficient_matrix():
