@@ -33,11 +33,7 @@ from .precoding import (
     v_ul_max,
     zf_precoder,
 )
-from .power import (
-    PowerAllocation,
-    baseline_powers,
-    solve_power_lp,
-)
+from .power import solve_power_lp
 from .metrics import (
     SnapshotMetrics,
     SweepPointSummary,
@@ -80,8 +76,6 @@ __all__ = [
     "v_ul",
     "v_ul_max",
     "zf_precoder",
-    "PowerAllocation",
-    "baseline_powers",
     "solve_power_lp",
     "SnapshotMetrics",
     "SweepPointSummary",

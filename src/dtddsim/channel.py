@@ -48,18 +48,15 @@ class ChannelRealization:
     h_ul: [K_ul, N_ul] uplink UE k    ->  uplink BS b(j), serving and
           interfering entries alike (column j is the BS serving uplink UE j)
 
-    The label arrays record which UE/BS index each axis position refers to,
-    so the precoder can be assembled from the realization alone.
+    The axes follow the snapshot's partition: downlink-UE axes are ordered
+    as snapshot.dl_ues, uplink-UE axes as snapshot.ul_ues, downlink-array
+    axes as snapshot.n_dl and uplink-BS axes as snapshot.ul_bs.
     """
 
     h_dl: np.ndarray
     f_bs: np.ndarray
     g_ue: np.ndarray
     h_ul: np.ndarray
-    dl_ues: np.ndarray  # [K_dl] UE indices for h_dl/g_ue rows
-    ul_ues: np.ndarray  # [K_ul] UE indices for h_ul/g_ue's UL axis
-    n_dl: np.ndarray    # [N_dl] BS indices for the downlink-array axis
-    ul_bs: np.ndarray   # [N_ul] BS indices for f_bs rows / h_ul columns
 
 
 def path_loss_db(distance_m, freq_ghz: float):
@@ -137,10 +134,4 @@ def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
     normals = rng.standard_normal(ends[-1])
     h_dl, f_bs, g_ue, h_ul = (_fading(b, normals[end - 2 * b.size:end])
                               for b, end in zip(blocks, ends))
-    return ChannelRealization(
-        h_dl=h_dl, f_bs=f_bs, g_ue=g_ue, h_ul=h_ul,
-        dl_ues=snapshot.dl_ues.copy(),
-        ul_ues=snapshot.ul_ues.copy(),
-        n_dl=snapshot.n_dl.copy(),
-        ul_bs=snapshot.ul_bs.copy(),
-    )
+    return ChannelRealization(h_dl=h_dl, f_bs=f_bs, g_ue=g_ue, h_ul=h_ul)

@@ -19,11 +19,11 @@ import numpy as np
 from . import __version__
 from .channel import RadioParams, build_channel_realization
 from .exceptions import ConfigurationError, NumericalError
-from .metrics import (SnapshotMetrics, aggregate, baseline_sinrs, jt_sinrs,
-                      snapshot_metrics)
+from .metrics import (SnapshotMetrics, SweepPointSummary, aggregate,
+                      baseline_sinrs, jt_sinrs, snapshot_metrics)
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
-from .snapshot import TrafficConfig, generate_snapshot
+from .snapshot import TrafficConfig, generate_snapshot, traffic_load
 from .topology import D_MIN_M, Topology, build_grid
 
 SCHEMES = ("baseline", "jt", "jt_ds")
@@ -36,6 +36,9 @@ CSV_HEADER = ("scheme,utilization,delta,snapshot,k_dl,k_ul,v_ul,"
 DEFAULT_UTILIZATIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 FAILURE_RATE_WARN = 0.01
+
+# the per-point statistics, in summary.json key order
+SUMMARY_STATS = tuple(f.name for f in dataclasses.fields(SweepPointSummary))
 
 
 @dataclass
@@ -72,6 +75,8 @@ class SimulationConfig:
             raise ConfigurationError("snapshots_per_point must be >= 1")
         if self.delta < 0:
             raise ConfigurationError("delta must be >= 0")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
         # BSs no farther apart than the path-loss clamp tie for the UEs near
         # them, and a BS that is never strictly strongest never gets a UE:
         # the drop would redraw forever. Wider apart, each BS is strictly
@@ -89,6 +94,9 @@ class SimulationConfig:
                 raise ConfigurationError("worker_count must be an integer or 'auto'")
             if workers < 1:
                 raise ConfigurationError("worker_count must be >= 1 or 'auto'")
+        for utilization in self.utilizations:
+            traffic_load(dataclasses.replace(self.traffic, utilization=utilization),
+                         self.n_bs)
 
 
 @dataclass
@@ -160,9 +168,9 @@ def evaluate_scheme(scheme: str, snap, chan, params: RadioParams,
     if scheme == "baseline" or snap.k_dl == 0:
         return snapshot_metrics(scheme, snap, baseline_sinr, params.bandwidth_hz, 0)
     precoder = build_precoder(snap, chan, v, baseline_sinr)
-    alloc = solve_power_lp(precoder.w, params.p_b_max_w, snap.k_dl)
-    sinrs = jt_sinrs(snap, chan, params, precoder.w, alloc.p)
-    return snapshot_metrics(scheme, snap, sinrs, params.bandwidth_hz, precoder.v_ul)
+    p = solve_power_lp(precoder.w, params.p_b_max_w, snap.k_dl)
+    sinrs = jt_sinrs(snap, chan, params, precoder.w, p)
+    return snapshot_metrics(scheme, snap, sinrs, params.bandwidth_hz, v)
 
 
 def _attempted_v_ul(scheme: str, snap, delta: int) -> int:
@@ -241,44 +249,31 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     records = [rec for recs in per_task for rec in recs]
     records.sort(key=lambda r: (r.scheme, r.utilization, r.snapshot))
 
+    points = {}  # (scheme, utilization) -> records, in snapshot order
+    for r in records:
+        points.setdefault((r.scheme, r.utilization), []).append(r)
     summaries = []
-    n_failed_total = 0
     for scheme in SCHEMES:
         if scheme not in config.schemes:
             continue
         for utilization in config.utilizations:
-            point = [r for r in records
-                     if r.scheme == scheme and r.utilization == utilization]
+            point = points[scheme, utilization]
             ok = [r for r in point if not r.failed]
-            n_failed = len(point) - len(ok)
-            n_failed_total += n_failed
-            k = int(np.floor(utilization * config.n_bs + 0.5))
+            k = traffic_load(dataclasses.replace(config.traffic, utilization=utilization),
+                             config.n_bs)
             entry = {
                 "scheme": scheme,
                 "utilization": utilization,
                 "delta": config.delta,
                 "traffic_load_k": k,
                 "n_snapshots": len(point),
-                "n_failed": n_failed,
+                "n_failed": len(point) - len(ok),
             }
-            if ok:
-                s = aggregate(ok, k)
-                entry.update({
-                    "mean_sum_rate_bps": s.mean_sum_rate_bps,
-                    "mean_dl_sum_rate_bps": s.mean_dl_sum_rate_bps,
-                    "mean_ul_sum_rate_bps": s.mean_ul_sum_rate_bps,
-                    "fifth_percentile_user_rate_bps": s.fifth_percentile_user_rate_bps,
-                })
-            else:
-                entry.update({
-                    "mean_sum_rate_bps": None,
-                    "mean_dl_sum_rate_bps": None,
-                    "mean_ul_sum_rate_bps": None,
-                    "fifth_percentile_user_rate_bps": None,
-                })
+            entry.update(dataclasses.asdict(aggregate(ok, k)) if ok
+                         else dict.fromkeys(SUMMARY_STATS))
             summaries.append(entry)
 
-    failure_rate = n_failed_total / max(len(records), 1)
+    failure_rate = sum(r.failed for r in records) / max(len(records), 1)
     if failure_rate > FAILURE_RATE_WARN:
         warnings.warn(f"{failure_rate:.2%} of snapshot evaluations failed "
                       "(numerical failures)", RuntimeWarning)
@@ -320,8 +315,7 @@ def write_results(result: RunResult, out_dir) -> dict:
     summaries = []
     for entry in result.summaries:
         out = dict(entry)
-        for key in ("mean_sum_rate_bps", "mean_dl_sum_rate_bps",
-                    "mean_ul_sum_rate_bps", "fifth_percentile_user_rate_bps"):
+        for key in SUMMARY_STATS:
             out[key] = _round12(out[key])
         out["utilization"] = _round12(out["utilization"])
         summaries.append(out)

@@ -34,7 +34,6 @@ class SweepPointSummary:
     mean_dl_sum_rate_bps: float
     mean_ul_sum_rate_bps: float
     fifth_percentile_user_rate_bps: float  # 5th pct of sum-rate / traffic load K
-    n_samples: int
 
 
 def _sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
@@ -131,5 +130,4 @@ def aggregate(results, k: int) -> SweepPointSummary:
         mean_dl_sum_rate_bps=float(dl.mean()),
         mean_ul_sum_rate_bps=float(ul.mean()),
         fifth_percentile_user_rate_bps=float(np.percentile(total, 5.0) / k),
-        n_samples=len(results),
     )

@@ -7,29 +7,9 @@ streams pinned at zero. Instances are tiny (at most N variables and N
 constraints), so the LP is solved by an in-repo dense simplex.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericalError
-
-
-@dataclass
-class PowerAllocation:
-    """Per-stream downlink powers, length K_dl + V_ul, dummy entries zero."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-
-
-@dataclass
-class BaselinePowers:
-    """Uncoordinated transmit powers: serving BSs at P_b, uplink UEs at P_u."""
-
-    bs_power_w: np.ndarray  # [N] per-BS
-    ue_power_w: np.ndarray  # [K] per-UE
 
 
 def _simplex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> np.ndarray:
@@ -88,7 +68,7 @@ def _antenna_gains(w: np.ndarray, k_dl: int) -> np.ndarray:
     return a
 
 
-def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> PowerAllocation:
+def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> np.ndarray:
     """Sum-power-maximizing downlink allocation for a normalized precoder.
 
     Returns p of length w.shape[1]: the LP maximizer over the first k_dl
@@ -100,17 +80,4 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> PowerAllocation:
     x = _simplex_max(np.ones(k_dl), a, b)
     p = np.zeros(w.shape[1])
     p[:k_dl] = np.maximum(x, 0.0)
-    return PowerAllocation(p=p)
-
-
-def baseline_powers(snapshot, params) -> BaselinePowers:
-    """Uncoordinated scheme: fixed maximum powers, no precoding.
-
-    Every BS serving a downlink UE transmits at P_b, every uplink UE at P_u;
-    idle BSs stay silent (there is no joint transmission to recruit them).
-    """
-    bs_power = np.zeros(snapshot.n_bs)
-    bs_power[snapshot.ue_placement.serving_bs[snapshot.dl_ues]] = params.p_b_max_w
-    ue_power = np.zeros(snapshot.k)
-    ue_power[snapshot.ul_ues] = params.p_u_max_w
-    return BaselinePowers(bs_power_w=bs_power, ue_power_w=ue_power)
+    return p

@@ -26,16 +26,13 @@ class PrecoderResult:
     w: [N_dl, K_dl + V_ul] complex, unit-norm columns. Column k < K_dl
        carries downlink UE k's stream; columns K_dl.. are the zero-power
        dummy streams toward the selected uplink BSs.
-    selected_ul_bs: [V_ul] BS indices nulled by the dummy columns, in
-       selection order (worst baseline uplink SINR first).
-    v_ul: number of uplink BSs included.
-    effective_gains: [K_dl + V_ul] real, the diagonal magnitudes of M @ W.
+    ul_rows: [V_ul] uplink rows nulled by the dummy columns (positions in
+       snapshot.ul_ues / snapshot.ul_bs, rows of f_bs), in selection order
+       (worst baseline uplink SINR first).
     """
 
     w: np.ndarray
-    selected_ul_bs: np.ndarray
-    v_ul: int
-    effective_gains: np.ndarray
+    ul_rows: np.ndarray
 
 
 def v_ul_max(n_ul: int, n_dl: int, k_dl: int) -> int:
@@ -50,49 +47,38 @@ def v_ul(delta: int, v_ul_max: int) -> int:
     return max(0, v_ul_max - delta)
 
 
-def select_uplink_bs(baseline_ul_sinrs, v_ul: int, serving_bs: np.ndarray) -> np.ndarray:
-    """Serving BSs of the v_ul worst uplink UEs under the uncoordinated scheme.
+def select_uplink_bs(ul_sinrs, v_ul: int) -> np.ndarray:
+    """Uplink rows of the v_ul worst uplink UEs under the uncoordinated scheme.
 
     Args:
-        baseline_ul_sinrs: iterable of (ue_index, linear SINR) pairs.
-        v_ul: how many BSs to pick.
-        serving_bs: [K] per-UE serving BS map.
+        ul_sinrs: [K_ul] baseline SINRs in snapshot.ul_ues order.
+        v_ul: how many uplink BSs to pick.
     Returns:
-        [v_ul] BS indices ordered by ascending baseline SINR, ties broken by
-        ascending UE index.
+        [v_ul] uplink rows ordered by ascending baseline SINR, ties broken by
+        ascending row (ul_ues is ascending, so by ascending UE index). With
+        at most one UE per BS, distinct rows are distinct BSs.
     """
-    pairs = list(baseline_ul_sinrs)
-    if v_ul > len(pairs):
+    if v_ul > len(ul_sinrs):
         raise ConfigurationError("cannot select more uplink BSs than uplink UEs")
-    if v_ul == 0:
-        return np.empty(0, dtype=int)
-    order = sorted(pairs, key=lambda p: (p[1], p[0]))
-    picked = np.array([serving_bs[ue] for ue, _ in order[:v_ul]], dtype=int)
-    # <= 1 UE per BS guarantees distinct serving BSs
-    assert len(set(picked.tolist())) == len(picked)
-    return picked
+    return np.argsort(ul_sinrs, kind="stable")[:v_ul]
 
 
-def assemble_m(channel: ChannelRealization, selected_ul_bs) -> np.ndarray:
+def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
     """Stack the compound matrix M: downlink-UE rows, then selected-BS rows.
 
     Row i < K_dl is h_i^H (conjugated channel of downlink UE i); the
-    remaining rows are f_b^H for each selected uplink BS, in selection
+    remaining rows are f_b^H for the uplink BSs at ul_rows of f_bs, in that
     order. Requires K_dl >= 1 and K_dl + V_ul <= N_dl.
     """
     k_dl, n_dl = channel.h_dl.shape
     if k_dl < 1:
         raise ConfigurationError("precoding needs at least one downlink UE")
-    selected = np.asarray(selected_ul_bs, dtype=int)
-    if k_dl + len(selected) > n_dl:
+    ul_rows = np.asarray(ul_rows, dtype=int)
+    if k_dl + len(ul_rows) > n_dl:
         raise ConfigurationError(
-            f"{k_dl} downlink UEs + {len(selected)} uplink BSs exceed {n_dl} antennas"
+            f"{k_dl} downlink UEs + {len(ul_rows)} uplink BSs exceed {n_dl} antennas"
         )
-    rows = [np.conj(channel.h_dl)]
-    if len(selected):
-        ul_bs_row = {bs: r for r, bs in enumerate(channel.ul_bs.tolist())}
-        rows.append(np.conj(channel.f_bs[[ul_bs_row[bs] for bs in selected.tolist()]]))
-    return np.vstack(rows)
+    return np.conj(np.vstack([channel.h_dl, channel.f_bs[ul_rows]]))
 
 
 def zf_precoder(m: np.ndarray):
@@ -136,11 +122,8 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
     if v_ul_count > 0:
         if baseline_sinr is None:
             raise ConfigurationError("uplink-BS selection needs baseline SINRs")
-        pairs = [(int(ue), float(baseline_sinr[ue])) for ue in snapshot.ul_ues]
-        selected = select_uplink_bs(pairs, v_ul_count, snapshot.ue_placement.serving_bs)
+        ul_rows = select_uplink_bs(baseline_sinr[snapshot.ul_ues], v_ul_count)
     else:
-        selected = np.empty(0, dtype=int)
-    m = assemble_m(channel, selected)
-    w, gains = zf_precoder(m)
-    return PrecoderResult(w=w, selected_ul_bs=selected, v_ul=len(selected),
-                          effective_gains=gains)
+        ul_rows = np.empty(0, dtype=int)
+    w, _ = zf_precoder(assemble_m(channel, ul_rows))
+    return PrecoderResult(w=w, ul_rows=ul_rows)

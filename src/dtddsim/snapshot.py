@@ -82,19 +82,17 @@ class Snapshot:
         return len(self.ul_bs)
 
 
-def generate_snapshot(topology: Topology, traffic: TrafficConfig,
-                      rng: np.random.Generator) -> Snapshot:
-    """Drop K = round(utilization * N) UEs and assign directions.
+def traffic_load(traffic: TrafficConfig, n_bs: int) -> int:
+    """Active UE count K = round(utilization * N), rounding half-up.
 
-    Positions are drawn first (see drop_ues), then one direction draw per UE.
-    Under require_mixed_traffic only the direction vector is redrawn, so the
-    spatial distribution stays unconditioned. Rounding is half-up.
+    Raises ConfigurationError when K < 1, and under require_mixed_traffic
+    when K < 2 or the direction draw is degenerate, since no snapshot of
+    such a sweep point could be drawn.
     """
-    n = topology.n_bs
-    k = int(np.floor(traffic.utilization * n + 0.5))
+    k = int(np.floor(traffic.utilization * n_bs + 0.5))
     if k < 1:
         raise ConfigurationError(
-            f"utilization {traffic.utilization} with {n} BSs yields no active UE"
+            f"utilization {traffic.utilization} with {n_bs} BSs yields no active UE"
         )
     if traffic.require_mixed_traffic:
         if k < 2:
@@ -103,6 +101,18 @@ def generate_snapshot(topology: Topology, traffic: TrafficConfig,
             raise ConfigurationError(
                 "mixed traffic is impossible with a degenerate dl_probability"
             )
+    return k
+
+
+def generate_snapshot(topology: Topology, traffic: TrafficConfig,
+                      rng: np.random.Generator) -> Snapshot:
+    """Drop K = traffic_load(traffic, N) UEs and assign directions.
+
+    Positions are drawn first (see drop_ues), then one direction draw per UE.
+    Under require_mixed_traffic only the direction vector is redrawn, so the
+    spatial distribution stays unconditioned.
+    """
+    k = traffic_load(traffic, topology.n_bs)
     placement = drop_ues(topology, k, rng)
     while True:
         is_downlink = rng.random(k) < traffic.dl_probability
@@ -110,4 +120,4 @@ def generate_snapshot(topology: Topology, traffic: TrafficConfig,
             break
         if is_downlink.any() and not is_downlink.all():
             break
-    return Snapshot(ue_placement=placement, is_downlink=is_downlink, n_bs=n)
+    return Snapshot(ue_placement=placement, is_downlink=is_downlink, n_bs=topology.n_bs)

@@ -2,19 +2,20 @@
 
 Each is the straightforward form of a computation the package does in a
 faster, array-shaped way: the per-matrix channel draw, the per-UE SINR
-loops, the one-at-a-time UE drop, the row-by-row simplex, and two
-desk-scale power-allocation oracles (exact vertex enumeration for the LP
-and the concave log-sum objective it relaxes).
+loops with the baseline's per-node powers, the one-at-a-time UE drop, the
+row-by-row simplex, and two desk-scale power-allocation oracles (exact
+vertex enumeration for the LP and the concave log-sum objective it
+relaxes).
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 
-from dtddsim import (ChannelRealization, ConfigurationError, PowerAllocation,
-                     UePlacement, path_loss_db)
-from dtddsim.power import _antenna_gains, baseline_powers, solve_power_lp
+from dtddsim import ChannelRealization, ConfigurationError, UePlacement, path_loss_db
+from dtddsim.power import _antenna_gains, solve_power_lp
 from dtddsim.topology import pairwise_distances
 
 _FEAS_TOL = 1e-9
@@ -61,14 +62,31 @@ def build_channel_realization(snapshot, topology, params, rng):
         f_bs=np.asarray(f_bs).reshape(len(ul_bs_pos), len(dl_bs_pos)),
         g_ue=np.asarray(g_ue).reshape(len(dl_ue_pos), len(ul_ue_pos)),
         h_ul=np.asarray(h_ul).reshape(len(ul_ue_pos), len(ul_bs_pos)),
-        dl_ues=snapshot.dl_ues.copy(),
-        ul_ues=snapshot.ul_ues.copy(),
-        n_dl=snapshot.n_dl.copy(),
-        ul_bs=snapshot.ul_bs.copy(),
     )
 
 
 # --- SINRs -----------------------------------------------------------------
+
+@dataclass
+class BaselinePowers:
+    """Uncoordinated transmit powers: serving BSs at P_b, uplink UEs at P_u."""
+
+    bs_power_w: np.ndarray  # [N] per-BS
+    ue_power_w: np.ndarray  # [K] per-UE
+
+
+def baseline_powers(snapshot, params):
+    """Uncoordinated scheme: fixed maximum powers, no precoding.
+
+    Every BS serving a downlink UE transmits at P_b, every uplink UE at P_u;
+    idle BSs stay silent (there is no joint transmission to recruit them).
+    """
+    bs_power = np.zeros(snapshot.n_bs)
+    bs_power[snapshot.ue_placement.serving_bs[snapshot.dl_ues]] = params.p_b_max_w
+    ue_power = np.zeros(snapshot.k)
+    ue_power[snapshot.ul_ues] = params.p_u_max_w
+    return BaselinePowers(bs_power_w=bs_power, ue_power_w=ue_power)
+
 
 def sinr_downlink_jt(i, channel, w, p, p_u, noise_w):
     """Downlink SINR under joint transmission for downlink slot i.
@@ -263,7 +281,7 @@ def power_lp_oracle(w, p_b, k_dl):
                 best_obj, best_x = obj, x
     p = np.zeros(w.shape[1])
     p[:k_dl] = np.maximum(best_x, 0.0)
-    return PowerAllocation(p=p)
+    return p
 
 
 def log_objective_oracle(w, p_b, k_dl):
@@ -289,7 +307,7 @@ def log_objective_oracle(w, p_b, k_dl):
     cons = [{"type": "ineq", "fun": lambda p: p_b - a @ p, "jac": lambda p: -a}]
     bounds = [(0.0, None)] * k_dl
     interior = np.full(k_dl, 0.9 * p_b / max(a.sum(axis=1).max(), 1e-30))
-    starts = [interior, solve_power_lp(w, p_b, k_dl).p[:k_dl]]
+    starts = [interior, solve_power_lp(w, p_b, k_dl)[:k_dl]]
     best_x, best_val = None, np.inf
     for x0 in starts:
         res = minimize(neg_obj, x0, jac=neg_grad, bounds=bounds, constraints=cons,
@@ -303,4 +321,4 @@ def log_objective_oracle(w, p_b, k_dl):
         raise RuntimeError("log-objective solver failed to produce a feasible point")
     p = np.zeros(w.shape[1])
     p[:k_dl] = best_x
-    return PowerAllocation(p=p)
+    return p

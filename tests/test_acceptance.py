@@ -74,7 +74,7 @@ def test_c01_zf_nulling_scaled_by_conditioning():
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         res = build_precoder(snap, chan, v, base)
-        m = assemble_m(chan, res.selected_ul_bs)
+        m = assemble_m(chan, res.ul_rows)
         scaled = np.abs(m @ res.w) / np.linalg.norm(m, axis=1)[:, None]
         np.fill_diagonal(scaled, 0.0)
         ratio = scaled.max() / np.linalg.cond(m)
@@ -96,10 +96,10 @@ def test_c02_lp_matches_enumeration_oracle():
         w = unit_columns(rng, n_dl, k_dl)
         got = solve_power_lp(w, 0.1, k_dl)
         want = power_lp_oracle(w, 0.1, k_dl)
-        gap = abs(got.p.sum() - want.p.sum()) / max(want.p.sum(), 1e-30)
+        gap = abs(got.sum() - want.sum()) / max(want.sum(), 1e-30)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-6
-        assert np.all(np.abs(w) ** 2 @ got.p <= 0.1 + 1e-9)
+        assert np.all(np.abs(w) ** 2 @ got <= 0.1 + 1e-9)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"\nPASS criterion 2: LP within 1e-6 of the vertex oracle on 500 "
@@ -145,9 +145,9 @@ def test_c04_included_bs_uplink_dominance():
         jt_ds = evaluate_scheme("jt_ds", snap, chan, params)
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        selected = set(build_precoder(snap, chan, v, base).selected_ul_bs.tolist())
+        selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())
         for slot, ue in enumerate(snap.ul_ues):
-            if int(chan.ul_bs[slot]) in selected:
+            if slot in selected:
                 assert jt_ds.per_ue_sinr[ue] >= jt.per_ue_sinr[ue] * (1.0 - 1e-9)
                 checked += 1
     assert checked > 1000

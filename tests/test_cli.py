@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dtddsim.harness as harness
 from dtddsim import __version__
 from dtddsim.cli import load_config, main
 from dtddsim.exceptions import ConfigurationError
@@ -114,6 +115,35 @@ def test_main_rejects_bs_spacing_inside_path_loss_clamp(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "spacing" in err
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    ({"master_seed": -3}, []),
+    ({}, ["--seed", "-1"]),
+])
+def test_main_rejects_negative_seed(tmp_path, capsys, overrides, argv):
+    path = write_config(tmp_path / "cfg.json", **overrides)
+    rc = main(["--config", str(path), "--out", str(tmp_path / "out"), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "master_seed" in err
+
+
+@pytest.mark.parametrize("utilization, message", [
+    ("0.03", "yields no active UE"),  # K = round(0.03 * 16) = 0
+    ("0.0625", "single UE"),          # K = 1 under the default mixed traffic
+])
+def test_main_rejects_bad_utilization_before_sweeping(tmp_path, capsys, monkeypatch,
+                                                      utilization, message):
+    drawn = []
+    monkeypatch.setattr(harness, "generate_snapshot", lambda *args: drawn.append(args))
+    rc = main(["--out", str(tmp_path / "out"), "--snapshots", "2000",
+               "--utilization", "1.0", "--utilization", utilization])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert drawn == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag(capsys):

@@ -23,15 +23,13 @@ def channel_of(h_dl=None, f_bs=None, g_ue=None, h_ul=None, n_dl_count=1):
         f_bs=np.zeros((k_ul, n_dl_count), complex) if f_bs is None else np.asarray(f_bs, complex),
         g_ue=np.zeros((k_dl, k_ul), complex) if g_ue is None else np.asarray(g_ue, complex),
         h_ul=np.zeros((k_ul, k_ul), complex) if h_ul is None else np.asarray(h_ul, complex),
-        dl_ues=np.arange(k_dl), ul_ues=np.arange(k_dl, k_dl + k_ul),
-        n_dl=np.arange(n_dl_count), ul_bs=np.arange(n_dl_count, n_dl_count + k_ul),
     )
 
 
 def sinrs_of(chan, w, p):
     """jt_sinrs on a channel_of channel: UE i < K_dl is downlink slot i, the
     rest are the uplink slots; default radio (P_u = 0.1 W, noise SIGMA2)."""
-    k_dl, k = len(chan.dl_ues), len(chan.dl_ues) + len(chan.ul_ues)
+    k_dl, k = len(chan.h_dl), len(chan.h_dl) + len(chan.h_ul)
     snap = Snapshot(ue_placement=UePlacement(np.zeros((k, 2)), np.arange(k)),
                     is_downlink=np.arange(k) < k_dl, n_bs=k)
     return jt_sinrs(snap, chan, RadioParams(), np.asarray(w), np.asarray(p))
@@ -101,12 +99,12 @@ def test_uplink_sinr_included_bs_precoder_term_nulled():
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         res = build_precoder(snap, chan, v, base)
-        m = assemble_m(chan, res.selected_ul_bs)
+        m = assemble_m(chan, res.ul_rows)
         if np.linalg.cond(m) > 100:
             continue
-        p = solve_power_lp(res.w, params.p_b_max_w, snap.k_dl).p
-        for slot, bs in enumerate(chan.ul_bs):
-            if bs in res.selected_ul_bs:
+        p = solve_power_lp(res.w, params.p_b_max_w, snap.k_dl)
+        for slot in range(snap.k_ul):
+            if slot in res.ul_rows:
                 leak = float(np.abs(np.conj(chan.f_bs[slot]) @ res.w) ** 2 @ p)
                 assert leak < 1e-15 * params.noise_power_w
                 checked += 1
@@ -232,9 +230,9 @@ def test_included_bs_uplink_dominance():
         jt_ds = evaluate_scheme("jt_ds", snap, chan, params)
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        selected = set(build_precoder(snap, chan, v, base).selected_ul_bs.tolist())
+        selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())
         for slot, ue in enumerate(snap.ul_ues):
-            if int(chan.ul_bs[slot]) in selected:
+            if slot in selected:
                 assert jt_ds.per_ue_sinr[ue] >= jt.per_ue_sinr[ue] * (1 - 1e-9)
                 checked += 1
     assert checked > 40
@@ -243,7 +241,7 @@ def test_included_bs_uplink_dominance():
 def test_jt_sinrs_cover_every_ue():
     snap, chan, params = random_scene(seed=33, utilization=0.5)
     res = build_precoder(snap, chan, 0)
-    p = solve_power_lp(res.w, params.p_b_max_w, snap.k_dl).p
+    p = solve_power_lp(res.w, params.p_b_max_w, snap.k_dl)
     sinrs = jt_sinrs(snap, chan, params, res.w, p)
     assert sinrs.shape == (snap.k,)
     # the LP may starve a downlink UE at a vertex optimum; uplink UEs always

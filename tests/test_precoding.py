@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtddsim import (ChannelRealization, ConfigurationError, NumericalError,
                      SingularChannelError, assemble_m, baseline_sinrs, build_precoder,
                      select_uplink_bs, v_ul, v_ul_max, zf_precoder)
+from dtddsim.harness import DEFAULT_UTILIZATIONS
 
 from conftest import random_scene
 
 
-def fake_channel(h_dl, f_bs=None, ul_bs=()):
+def fake_channel(h_dl, f_bs=None):
     h_dl = np.asarray(h_dl)
     n_dl = h_dl.shape[1]
     f_bs = np.zeros((0, n_dl), complex) if f_bs is None else np.asarray(f_bs)
@@ -16,8 +19,6 @@ def fake_channel(h_dl, f_bs=None, ul_bs=()):
         h_dl=h_dl, f_bs=f_bs,
         g_ue=np.zeros((h_dl.shape[0], f_bs.shape[0]), complex),
         h_ul=np.zeros((f_bs.shape[0], f_bs.shape[0]), complex),
-        dl_ues=np.arange(h_dl.shape[0]), ul_ues=np.arange(f_bs.shape[0]),
-        n_dl=np.arange(n_dl), ul_bs=np.asarray(ul_bs, dtype=int),
     )
 
 
@@ -36,25 +37,23 @@ def test_v_ul_backoff():
 
 
 def test_select_worst_uplink_bs_in_sinr_order():
-    serving = np.zeros(8, dtype=int)
-    serving[[5, 6, 7]] = [11, 12, 13]
-    picked = select_uplink_bs([(5, 0.2), (6, 3.0), (7, 0.9)], 2, serving)
-    assert picked.tolist() == [11, 13]  # UEs 5 then 7
+    picked = select_uplink_bs(np.array([0.2, 3.0, 0.9]), 2)
+    assert picked.tolist() == [0, 2]
 
 
 def test_select_zero_returns_empty():
-    assert select_uplink_bs([(5, 0.2)], 0, np.array([1, 2, 3, 4, 5, 9])).size == 0
+    assert select_uplink_bs(np.array([0.2]), 0).size == 0
 
 
 def test_select_ties_break_by_ue_index():
-    serving = np.array([0, 0, 0, 7, 0, 0, 0, 0, 3])
-    picked = select_uplink_bs([(8, 1.0), (3, 1.0)], 1, serving)
-    assert picked.tolist() == [7]
+    # rows follow the ascending ul_ues, so the lower row is the lower UE index
+    picked = select_uplink_bs(np.array([2.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 4)
+    assert picked.tolist() == [2, 1, 3, 4]
 
 
 def test_select_more_than_available_rejected():
     with pytest.raises(ConfigurationError):
-        select_uplink_bs([(5, 0.2)], 2, np.arange(8))
+        select_uplink_bs(np.array([0.2]), 2)
 
 
 def test_assemble_m_downlink_only():
@@ -68,12 +67,12 @@ def test_assemble_m_appends_selected_bs_rows():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
     f = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    chan = fake_channel(h, f, ul_bs=[7, 4])
-    m = assemble_m(chan, [7])
+    chan = fake_channel(h, f)
+    m = assemble_m(chan, [0])
     np.testing.assert_array_equal(m[0], np.conj(h[0]))
     np.testing.assert_array_equal(m[1], np.conj(f[0]))
     # selection order defines row order
-    m2 = assemble_m(chan, [4, 7])
+    m2 = assemble_m(chan, [1, 0])
     np.testing.assert_array_equal(m2[1], np.conj(f[1]))
     np.testing.assert_array_equal(m2[2], np.conj(f[0]))
 
@@ -88,7 +87,7 @@ def test_assemble_m_rejects_too_many_rows():
     h = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     f = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     with pytest.raises(ConfigurationError):
-        assemble_m(fake_channel(h, f, ul_bs=[9, 10]), [9, 10])
+        assemble_m(fake_channel(h, f), [0, 1])
 
 
 def test_zf_scalar_channel():
@@ -144,12 +143,33 @@ def test_nulling_scales_with_conditioning():
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         res = build_precoder(snap, chan, v, base)
-        m = assemble_m(chan, res.selected_ul_bs)
+        m = assemble_m(chan, res.ul_rows)
         prod = np.abs(m @ res.w)
         row_norms = np.linalg.norm(m, axis=1)
         scaled = prod / row_norms[:, None]
         np.fill_diagonal(scaled, 0.0)
         assert scaled.max() <= 1e-8 * np.linalg.cond(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), utilization=st.sampled_from(DEFAULT_UTILIZATIONS),
+       delta=st.integers(0, 3))
+def test_m_times_w_is_positive_diagonal(seed, utilization, delta):
+    # the bound of acceptance criterion 1, over the paper's load grid and
+    # back-offs: every stream reaches its own row, real and positive, and
+    # leaks into the other rows only at the conditioning-scaled residual
+    snap, chan, params = random_scene(seed=seed, utilization=utilization)
+    base = baseline_sinrs(snap, chan, params)
+    v = v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
+    res = build_precoder(snap, chan, v, base)
+    m = assemble_m(chan, res.ul_rows)
+    prod = m @ res.w
+    diag = prod.diagonal()
+    assert np.all(diag.real > 0)
+    assert np.all(np.abs(diag.imag) <= 1e-10 * diag.real)
+    scaled = np.abs(prod) / np.linalg.norm(m, axis=1)[:, None]
+    np.fill_diagonal(scaled, 0.0)
+    assert scaled.max() <= 1e-8 * np.linalg.cond(m)
 
 
 def test_precoder_without_selection_equals_plain_jt():
@@ -160,7 +180,7 @@ def test_precoder_without_selection_equals_plain_jt():
     jt_ds = build_precoder(snap, chan, v_ul(99, v_ul_max(
         snap.n_ul_count, snap.n_dl_count, snap.k_dl)), base)
     np.testing.assert_array_equal(jt.w, jt_ds.w)
-    assert jt_ds.v_ul == 0 and jt_ds.selected_ul_bs.size == 0
+    assert jt_ds.ul_rows.size == 0
 
 
 def test_selection_requires_baseline_sinrs():
@@ -175,6 +195,6 @@ def test_unit_columns_on_real_snapshots():
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         res = build_precoder(snap, chan, v, base)
-        assert res.w.shape == (snap.n_dl_count, snap.k_dl + res.v_ul)
-        assert snap.k_dl + res.v_ul <= snap.n_dl_count
+        assert res.w.shape == (snap.n_dl_count, snap.k_dl + len(res.ul_rows))
+        assert snap.k_dl + len(res.ul_rows) <= snap.n_dl_count
         np.testing.assert_allclose(np.linalg.norm(res.w, axis=0), 1.0, atol=1e-12)
