@@ -10,7 +10,7 @@ import numpy as np
 
 from dtddsim import (RadioParams, TrafficConfig, assemble_m, baseline_sinrs,
                      build_channel_realization, build_grid, build_precoder,
-                     evaluate_scheme, generate_snapshot, solve_power_lp, v_ul,
+                     evaluate_snapshot, generate_snapshot, solve_power_lp, v_ul,
                      v_ul_max)
 
 rng = np.random.default_rng(42)
@@ -58,7 +58,7 @@ print(f"antenna loads: max {antenna_load.max() * 1e3:.1f} mW of "
       f"{np.isclose(antenna_load, params.p_b_max_w).sum()} antennas at the cap")
 
 print("\n=== Scheme comparison on this snapshot ===")
-results = {s: evaluate_scheme(s, snap, chan, params) for s in ("baseline", "jt", "jt_ds")}
+results = evaluate_snapshot(snap, chan, params)
 def fmt_sinr(gamma):
     # the sum-power LP may park a downlink stream at zero power
     return "  muted   " if gamma <= 0 else f"{10 * np.log10(gamma):7.1f} dB"
@@ -72,4 +72,4 @@ print("-" * 50)
 for name, r in results.items():
     print(f"{name:>8}: sum-rate {r.sum_rate_bps / 1e6:7.1f} Mbit/s "
           f"(DL {r.dl_sum_rate_bps / 1e6:6.1f}, UL {r.ul_sum_rate_bps / 1e6:6.1f}), "
-          f"V_ul = {r.v_ul_used}")
+          f"V_ul = {v if name == 'jt_ds' else 0}")

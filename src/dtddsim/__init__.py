@@ -46,7 +46,7 @@ from .harness import (
     RunResult,
     SimulationConfig,
     derive_stream,
-    evaluate_scheme,
+    evaluate_snapshot,
     run_sweep,
     write_results,
 )
@@ -86,7 +86,7 @@ __all__ = [
     "RunResult",
     "SimulationConfig",
     "derive_stream",
-    "evaluate_scheme",
+    "evaluate_snapshot",
     "run_sweep",
     "write_results",
 ]

@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .channel import RadioParams, build_channel_realization
 from .exceptions import ConfigurationError, NumericalError
-from .metrics import (SnapshotMetrics, SweepPointSummary, aggregate,
-                      baseline_sinrs, jt_sinrs, snapshot_metrics)
+from .metrics import (SweepPointSummary, aggregate, baseline_sinrs, jt_sinrs,
+                      snapshot_metrics)
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
 from .snapshot import TrafficConfig, generate_snapshot, traffic_load
@@ -121,7 +121,6 @@ class RunResult:
     records: list
     summaries: list  # one dict per (scheme, utilization)
     config: SimulationConfig
-    version: str
 
 
 def derive_stream(master_seed: int, utilization_index: int,
@@ -147,71 +146,66 @@ def realize_point(config: SimulationConfig, topology: Topology,
     return snap, chan
 
 
-def evaluate_scheme(scheme: str, snap, chan, params: RadioParams,
-                    delta: int = 0, baseline_sinr=None) -> SnapshotMetrics:
-    """Run one scheme's pipeline on a shared snapshot/channel realization.
-
-    baseline: fixed maximum powers, no precoding.
-    jt:       zero-forcing precoder over the downlink UEs + power LP.
-    jt_ds:    baseline uplink SINRs pick the V_ul(delta) worst uplink BSs,
-              which join the precoder as zero-power rows, then power LP.
-    Without downlink traffic every scheme degrades to distributed uplink
-    operation with no BS transmitting, which is the baseline.
-    baseline_sinr: the snapshot's baseline SINRs if the caller already has
-    them; computed here when needed otherwise.
-    """
+def _v_ul_key(scheme: str, snap, delta: int):
+    """The evaluation a scheme reads: None if no BS precodes, else V_ul."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    v = _attempted_v_ul(scheme, snap, delta)
-    if baseline_sinr is None and (scheme == "baseline" or snap.k_dl == 0 or v > 0):
-        baseline_sinr = baseline_sinrs(snap, chan, params)
     if scheme == "baseline" or snap.k_dl == 0:
-        return snapshot_metrics(scheme, snap, baseline_sinr, params.bandwidth_hz, 0)
-    precoder = build_precoder(snap, chan, v, baseline_sinr)
-    p = solve_power_lp(precoder.w, params.p_b_max_w, snap.k_dl)
-    sinrs = jt_sinrs(snap, chan, params, precoder.w, p)
-    return snapshot_metrics(scheme, snap, sinrs, params.bandwidth_hz, v)
-
-
-def _attempted_v_ul(scheme: str, snap, delta: int) -> int:
-    if scheme != "jt_ds" or snap.k_dl == 0:
+        return None
+    if scheme == "jt":
         return 0
     return v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
 
 
-def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
-    """Records of every configured scheme on one (utilization, snapshot) task.
+def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
+                      delta: int = 0) -> dict:
+    """Evaluate schemes on one shared snapshot/channel realization.
 
-    The schemes share work: the baseline's SINRs drive the JT-DS selection,
-    and JT-DS without dummy streams (V_ul = 0) has JT's precoder, so it
-    takes JT's result.
+    Returns {scheme: SnapshotMetrics, or None if its evaluation failed
+    numerically}. Each scheme reads the evaluation keyed by the number
+    V_ul of uplink BSs its precoder nulls:
+      None   baseline: fixed maximum powers, no precoding; without downlink
+             traffic every scheme is this distributed uplink operation;
+      0      jt: zero-forcing precoder over the downlink UEs + power LP;
+      V_ul   jt_ds: baseline uplink SINRs pick the V_ul(delta) worst uplink
+             BSs, which join the precoder as zero-power rows, then power LP.
+    Schemes with one key share one evaluation, so JT-DS at V_ul = 0 is JT.
+    The baseline SINRs are computed at most once, and only if the baseline
+    or a JT-DS selection needs them. A NumericalError fails only its own key.
     """
-    u_idx, s_idx = task
-    utilization = config.utilizations[u_idx]
-    snap, chan = realize_point(config, topology, u_idx, s_idx)
-    results = {}  # evaluated pipeline -> SnapshotMetrics, None if it failed
-    records = []
-    for scheme in SCHEMES:
-        if scheme not in config.schemes:
+    keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
+    evaluations, base = {}, None
+    for v in keys.values():
+        if v in evaluations:
             continue
-        v = _attempted_v_ul(scheme, snap, config.delta)
-        pipeline = "jt" if scheme == "jt_ds" and v == 0 else scheme
-        if pipeline not in results:
-            base = results.get("baseline")
-            try:
-                results[pipeline] = evaluate_scheme(
-                    pipeline, snap, chan, config.radio, config.delta,
-                    None if base is None else base.per_ue_sinr)
-            except NumericalError:
-                results[pipeline] = None
-        m = results[pipeline]
-        if m is None:
-            v_used, rates = v, (float("nan"),) * 3
-        else:
-            v_used, rates = m.v_ul_used, (m.dl_sum_rate_bps, m.ul_sum_rate_bps,
-                                          m.sum_rate_bps)
-        records.append(Record(scheme, utilization, config.delta, s_idx, snap.k_dl,
-                              snap.k_ul, v_used, *rates, failed=m is None))
+        try:
+            if base is None and (v is None or v > 0):
+                base = baseline_sinrs(snap, chan, params)
+            if v is None:
+                sinrs = base
+            else:
+                precoder = build_precoder(snap, chan, v, base)
+                p = solve_power_lp(precoder.w, params.p_b_max_w, snap.k_dl)
+                sinrs = jt_sinrs(snap, chan, params, precoder.w, p)
+            evaluations[v] = snapshot_metrics(snap, sinrs, params.bandwidth_hz)
+        except NumericalError:
+            evaluations[v] = None
+    return {scheme: evaluations[v] for scheme, v in keys.items()}
+
+
+def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
+    """Records of every configured scheme on one (utilization, snapshot) task."""
+    u_idx, s_idx = task
+    snap, chan = realize_point(config, topology, u_idx, s_idx)
+    records = []
+    for scheme, m in evaluate_snapshot(snap, chan, config.radio, config.schemes,
+                                       config.delta).items():
+        rates = ((float("nan"),) * 3 if m is None
+                 else (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))
+        records.append(Record(scheme, config.utilizations[u_idx], config.delta, s_idx,
+                              snap.k_dl, snap.k_ul,
+                              _v_ul_key(scheme, snap, config.delta) or 0,
+                              *rates, failed=m is None))
     return records
 
 
@@ -246,39 +240,36 @@ def run_sweep(config: SimulationConfig) -> RunResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(partial(_run_task, config, topology), tasks,
                                      chunksize=chunk))
-    records = [rec for recs in per_task for rec in recs]
-    records.sort(key=lambda r: (r.scheme, r.utilization, r.snapshot))
+    # (scheme, utilization) -> records in snapshot order, in summary order
+    points = {(scheme, u): [] for scheme in SCHEMES if scheme in config.schemes
+              for u in config.utilizations}
+    for recs in per_task:
+        for r in recs:
+            points[r.scheme, r.utilization].append(r)
 
-    points = {}  # (scheme, utilization) -> records, in snapshot order
-    for r in records:
-        points.setdefault((r.scheme, r.utilization), []).append(r)
     summaries = []
-    for scheme in SCHEMES:
-        if scheme not in config.schemes:
-            continue
-        for utilization in config.utilizations:
-            point = points[scheme, utilization]
-            ok = [r for r in point if not r.failed]
-            k = traffic_load(dataclasses.replace(config.traffic, utilization=utilization),
-                             config.n_bs)
-            entry = {
-                "scheme": scheme,
-                "utilization": utilization,
-                "delta": config.delta,
-                "traffic_load_k": k,
-                "n_snapshots": len(point),
-                "n_failed": len(point) - len(ok),
-            }
-            entry.update(dataclasses.asdict(aggregate(ok, k)) if ok
-                         else dict.fromkeys(SUMMARY_STATS))
-            summaries.append(entry)
+    for (scheme, utilization), point in points.items():
+        ok = [r for r in point if not r.failed]
+        k = traffic_load(dataclasses.replace(config.traffic, utilization=utilization),
+                         config.n_bs)
+        entry = {
+            "scheme": scheme,
+            "utilization": utilization,
+            "delta": config.delta,
+            "traffic_load_k": k,
+            "n_snapshots": len(point),
+            "n_failed": len(point) - len(ok),
+        }
+        entry.update(dataclasses.asdict(aggregate(ok, k)) if ok
+                     else dict.fromkeys(SUMMARY_STATS))
+        summaries.append(entry)
 
+    records = [r for key in sorted(points) for r in points[key]]
     failure_rate = sum(r.failed for r in records) / max(len(records), 1)
     if failure_rate > FAILURE_RATE_WARN:
         warnings.warn(f"{failure_rate:.2%} of snapshot evaluations failed "
                       "(numerical failures)", RuntimeWarning)
-    return RunResult(records=records, summaries=summaries, config=config,
-                     version=__version__)
+    return RunResult(records=records, summaries=summaries, config=config)
 
 
 def _fmt(x) -> str:
@@ -326,7 +317,7 @@ def write_results(result: RunResult, out_dir) -> dict:
     config = dataclasses.asdict(result.config)
     config["schemes"] = list(result.config.schemes)
     config["utilizations"] = [_round12(u) for u in result.config.utilizations]
-    config["version"] = result.version
+    config["version"] = __version__
     with open(paths["config.json"], "w") as fh:
         json.dump(config, fh, indent=2)
         fh.write("\n")

@@ -15,15 +15,13 @@ from .exceptions import ConfigurationError
 
 @dataclass
 class SnapshotMetrics:
-    """Per-UE SINRs/rates and per-snapshot sums for one scheme."""
+    """Per-UE SINRs/rates and per-snapshot sums for one evaluation."""
 
-    scheme: str
     per_ue_sinr: np.ndarray      # [K] linear scale, UE drop order
     per_ue_rate_bps: np.ndarray  # [K]
     dl_sum_rate_bps: float
     ul_sum_rate_bps: float
     sum_rate_bps: float
-    v_ul_used: int
 
 
 @dataclass
@@ -36,9 +34,11 @@ class SweepPointSummary:
     fifth_percentile_user_rate_bps: float  # 5th pct of sum-rate / traffic load K
 
 
-def _sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
-           w: np.ndarray, p: np.ndarray) -> np.ndarray:
+def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
+             w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Per-UE SINRs (UE drop order) with the downlink array sending streams W at powers p.
+
+    A downlink-free snapshot passes W with zero columns.
 
     Downlink UE i (row i of h_dl, column i of W):
       gamma_i = |h_i^H w_i|^2 p_i /
@@ -70,16 +70,6 @@ def _sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
     return sinrs
 
 
-def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
-             w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-UE SINRs (UE drop order) for a joint-transmission scheme.
-
-    w is the normalized precoder and p the stream powers; a downlink-free
-    snapshot passes W with zero columns.
-    """
-    return _sinrs(snapshot, channel, params, w, p)
-
-
 def baseline_sinrs(snapshot, channel: ChannelRealization,
                    params: RadioParams) -> np.ndarray:
     """Per-UE SINRs for the uncoordinated scheme, UE drop order.
@@ -95,18 +85,16 @@ def baseline_sinrs(snapshot, channel: ChannelRealization,
     serving = snapshot.ue_placement.serving_bs[snapshot.dl_ues]
     w = np.zeros((snapshot.n_dl_count, snapshot.k_dl))
     w[np.searchsorted(snapshot.n_dl, serving), np.arange(snapshot.k_dl)] = 1.0
-    return _sinrs(snapshot, channel, params, w, np.full(snapshot.k_dl, params.p_b_max_w))
+    return jt_sinrs(snapshot, channel, params, w, np.full(snapshot.k_dl, params.p_b_max_w))
 
 
-def snapshot_metrics(scheme: str, snapshot, sinrs: np.ndarray,
-                     bandwidth_hz: float, v_ul_used: int) -> SnapshotMetrics:
+def snapshot_metrics(snapshot, sinrs: np.ndarray, bandwidth_hz: float) -> SnapshotMetrics:
     """Convert per-UE SINRs into rates and directional sums."""
     rates = bandwidth_hz * np.log2(1.0 + sinrs)
     dl = float(rates[snapshot.dl_ues].sum())
     ul = float(rates[snapshot.ul_ues].sum())
-    return SnapshotMetrics(scheme=scheme, per_ue_sinr=sinrs, per_ue_rate_bps=rates,
-                           dl_sum_rate_bps=dl, ul_sum_rate_bps=ul,
-                           sum_rate_bps=dl + ul, v_ul_used=v_ul_used)
+    return SnapshotMetrics(per_ue_sinr=sinrs, per_ue_rate_bps=rates, dl_sum_rate_bps=dl,
+                           ul_sum_rate_bps=ul, sum_rate_bps=dl + ul)
 
 
 def aggregate(results, k: int) -> SweepPointSummary:

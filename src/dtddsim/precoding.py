@@ -58,8 +58,8 @@ def select_uplink_bs(ul_sinrs, v_ul: int) -> np.ndarray:
         ascending row (ul_ues is ascending, so by ascending UE index). With
         at most one UE per BS, distinct rows are distinct BSs.
     """
-    if v_ul > len(ul_sinrs):
-        raise ConfigurationError("cannot select more uplink BSs than uplink UEs")
+    if not 0 <= v_ul <= len(ul_sinrs):
+        raise ConfigurationError(f"cannot select {v_ul} of {len(ul_sinrs)} uplink BSs")
     return np.argsort(ul_sinrs, kind="stable")[:v_ul]
 
 
@@ -115,15 +115,15 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
                    baseline_sinr=None) -> PrecoderResult:
     """Select uplink BSs, assemble M, and factor the precoder for one snapshot.
 
-    v_ul_count = 0 gives the plain joint-transmission precoder; with
-    v_ul_count > 0 the per-UE baseline_sinr array drives the worst-uplink
-    selection.
+    v_ul_count = 0 gives the plain joint-transmission precoder; any other
+    count selects that many uplink BSs (a negative one is rejected), driven
+    by the per-UE baseline_sinr array.
     """
-    if v_ul_count > 0:
-        if baseline_sinr is None:
-            raise ConfigurationError("uplink-BS selection needs baseline SINRs")
-        ul_rows = select_uplink_bs(baseline_sinr[snapshot.ul_ues], v_ul_count)
-    else:
+    if v_ul_count == 0:
         ul_rows = np.empty(0, dtype=int)
+    elif baseline_sinr is None:
+        raise ConfigurationError("uplink-BS selection needs baseline SINRs")
+    else:
+        ul_rows = select_uplink_bs(baseline_sinr[snapshot.ul_ues], v_ul_count)
     w, _ = zf_precoder(assemble_m(channel, ul_rows))
     return PrecoderResult(w=w, ul_rows=ul_rows)

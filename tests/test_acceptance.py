@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dtddsim import (SimulationConfig, assemble_m, baseline_sinrs,
-                     build_precoder, draw_channel, evaluate_scheme,
+                     build_precoder, draw_channel, evaluate_snapshot,
                      generate_snapshot, build_grid, noise_power,
                      run_sweep, solve_power_lp, v_ul, v_ul_max, write_results,
                      TrafficConfig)
@@ -141,8 +141,8 @@ def test_c04_included_bs_uplink_dominance():
     checked = 0
     for seed in range(1000):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        jt = evaluate_scheme("jt", snap, chan, params)
-        jt_ds = evaluate_scheme("jt_ds", snap, chan, params)
+        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())

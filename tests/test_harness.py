@@ -6,13 +6,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtddsim import (ConfigurationError, NumericalError, Record, RunResult,
                      SimulationConfig, SingularChannelError, build_grid, derive_stream,
-                     run_sweep, write_results, __version__)
-from dtddsim.harness import CSV_HEADER, realize_point
+                     evaluate_snapshot, run_sweep, write_results, __version__)
+from dtddsim.harness import CSV_HEADER, DEFAULT_UTILIZATIONS, SCHEMES, realize_point
 import dtddsim
 import dtddsim.harness as harness
+
+from conftest import random_scene
 
 
 def small_config(**kw):
@@ -107,8 +111,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_empty_result_writes_header_only(tmp_path):
-    res = RunResult(records=[], summaries=[], config=small_config(),
-                    version=__version__)
+    res = RunResult(records=[], summaries=[], config=small_config())
     write_results(res, tmp_path)
     assert (tmp_path / "records.csv").read_text() == CSV_HEADER + "\n"
 
@@ -244,3 +247,53 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     assert calls["baseline_sinrs"] == 20
     assert calls["build_precoder"] == 20 + len(with_dummies)
     assert 0 < len(with_dummies) <= 10
+
+
+def bits(m):
+    """The exact bytes of an evaluation's per-UE SINRs and three sums."""
+    if m is None:
+        return None
+    sums = np.array([m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps])
+    return m.per_ue_sinr.tobytes(), sums.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), utilization=st.sampled_from(DEFAULT_UTILIZATIONS),
+       delta=st.integers(0, 4),
+       traffic=st.sampled_from([dict(), dict(dl_probability=1.0, require_mixed=False),
+                                dict(dl_probability=0.0, require_mixed=False)]))
+def test_shared_evaluations_change_no_number(seed, utilization, delta, traffic):
+    # mixed, downlink-only and uplink-only scenes: each scheme reads the same
+    # bits from the three-scheme evaluation as from its own evaluation alone
+    snap, chan, params = random_scene(seed=seed, utilization=utilization, **traffic)
+    shared = evaluate_snapshot(snap, chan, params, delta=delta)
+    assert tuple(shared) == SCHEMES
+    for scheme in SCHEMES:
+        alone = evaluate_snapshot(snap, chan, params, (scheme,), delta)
+        assert bits(shared[scheme]) == bits(alone[scheme])
+
+
+def test_failure_fails_only_its_own_evaluation(monkeypatch):
+    cfg = small_config(utilizations=(0.5, 1.0), snapshots_per_point=10)
+    clean = run_sweep(cfg)
+    original = harness.solve_power_lp
+
+    def fails_with_dummy_streams(w, p_b_max_w, k_dl):
+        if w.shape[1] > k_dl:
+            raise NumericalError("forced by test")
+        return original(w, p_b_max_w, k_dl)
+
+    monkeypatch.setattr(harness, "solve_power_lp", fails_with_dummy_streams)
+    with pytest.warns(RuntimeWarning, match="failed"):
+        res = run_sweep(cfg)
+    # failed records keep the V_ul their evaluation attempted
+    assert [r.v_ul for r in res.records] == [r.v_ul for r in clean.records]
+    for r in res.records:
+        assert r.failed == (r.scheme == "jt_ds" and r.v_ul > 0)
+        assert math.isnan(r.sum_rate_bps) == r.failed
+    jt_ds = [r for r in res.records if r.scheme == "jt_ds"]
+    assert 0 < sum(r.failed for r in jt_ds) < len(jt_ds)
+    for entry in res.summaries:
+        point = [r for r in res.records
+                 if (r.scheme, r.utilization) == (entry["scheme"], entry["utilization"])]
+        assert entry["n_failed"] == sum(r.failed for r in point)

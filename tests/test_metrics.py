@@ -6,7 +6,7 @@ import pytest
 from dtddsim import (ChannelRealization, ConfigurationError, RadioParams,
                      Snapshot, UePlacement, aggregate, assemble_m,
                      baseline_sinrs, build_channel_realization, build_grid,
-                     build_precoder, evaluate_scheme, jt_sinrs, solve_power_lp,
+                     build_precoder, evaluate_snapshot, jt_sinrs, solve_power_lp,
                      v_ul, v_ul_max, zf_precoder)
 from dtddsim.metrics import SnapshotMetrics, snapshot_metrics
 
@@ -162,7 +162,7 @@ def test_uplink_only_matches_baseline_when_no_downlink():
 
 def test_rate_log2_consistency():
     snap, chan, params = manual_scene([[6.0, 4.0]], [0], [True])
-    m = snapshot_metrics("baseline", snap, np.array([1.0]), 1e7, 0)
+    m = snapshot_metrics(snap, np.array([1.0]), 1e7)
     assert m.per_ue_rate_bps[0] == 1e7
     assert m.sum_rate_bps == m.dl_sum_rate_bps + m.ul_sum_rate_bps == 1e7
 
@@ -170,14 +170,13 @@ def test_rate_log2_consistency():
 def test_sum_rate_split_is_exact():
     for seed in range(10):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        for scheme in ("baseline", "jt", "jt_ds"):
-            m = evaluate_scheme(scheme, snap, chan, params)
+        for m in evaluate_snapshot(snap, chan, params).values():
             assert m.sum_rate_bps == m.dl_sum_rate_bps + m.ul_sum_rate_bps
             assert np.all(m.per_ue_sinr >= 0) and np.all(m.per_ue_rate_bps >= 0)
 
 
 def make_metrics(values):
-    return [SnapshotMetrics("jt", np.zeros(1), np.zeros(1), 0.0, 0.0, float(v), 0)
+    return [SnapshotMetrics(np.zeros(1), np.zeros(1), 0.0, 0.0, float(v))
             for v in values]
 
 
@@ -206,9 +205,9 @@ def test_jt_ds_equals_jt_when_no_uplink_bs_fits():
     # full load leaves no spare antennas, so both pipelines are bit-identical
     for seed in range(20):
         snap, chan, params = random_scene(seed=seed, utilization=1.0)
-        jt = evaluate_scheme("jt", snap, chan, params)
-        jt_ds = evaluate_scheme("jt_ds", snap, chan, params)
-        assert jt_ds.v_ul_used == 0
+        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
+        assert v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl) == 0
         np.testing.assert_array_equal(jt.per_ue_sinr, jt_ds.per_ue_sinr)
         assert jt.sum_rate_bps == jt_ds.sum_rate_bps
 
@@ -217,8 +216,8 @@ def test_jt_ds_equals_jt_for_downlink_only_traffic():
     for seed in range(20):
         snap, chan, params = random_scene(seed=seed, dl_probability=1.0,
                                           require_mixed=False)
-        jt = evaluate_scheme("jt", snap, chan, params)
-        jt_ds = evaluate_scheme("jt_ds", snap, chan, params)
+        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         np.testing.assert_array_equal(jt.per_ue_sinr, jt_ds.per_ue_sinr)
 
 
@@ -226,8 +225,8 @@ def test_included_bs_uplink_dominance():
     checked = 0
     for seed in range(60):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        jt = evaluate_scheme("jt", snap, chan, params)
-        jt_ds = evaluate_scheme("jt_ds", snap, chan, params)
+        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())

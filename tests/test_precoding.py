@@ -56,6 +56,11 @@ def test_select_more_than_available_rejected():
         select_uplink_bs(np.array([0.2]), 2)
 
 
+def test_select_negative_count_rejected():
+    with pytest.raises(ConfigurationError):
+        select_uplink_bs(np.array([3.0, 1.0, 2.0]), -1)
+
+
 def test_assemble_m_downlink_only():
     rng = np.random.default_rng(0)
     h = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
@@ -187,6 +192,13 @@ def test_selection_requires_baseline_sinrs():
     snap, chan, _ = random_scene(seed=12, utilization=0.5)
     with pytest.raises(ConfigurationError):
         build_precoder(snap, chan, 1, None)
+
+
+def test_precoder_rejects_negative_count():
+    snap, chan, params = random_scene(seed=12, utilization=0.5)
+    for base in (baseline_sinrs(snap, chan, params), None):
+        with pytest.raises(ConfigurationError):
+            build_precoder(snap, chan, -1, base)
 
 
 def test_unit_columns_on_real_snapshots():
