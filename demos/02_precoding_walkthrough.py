@@ -16,9 +16,9 @@ from dtddsim import (RadioParams, TrafficConfig, assemble_m, baseline_sinrs,
 rng = np.random.default_rng(42)
 topo = build_grid(16, 40.0)
 params = RadioParams()
-traffic = TrafficConfig(utilization=0.75, require_mixed_traffic=True)
+traffic = TrafficConfig()  # i.i.d. 50:50 directions, at least one of each
 
-snap = generate_snapshot(topo, traffic, rng)
+snap = generate_snapshot(topo, 0.75, traffic, rng)
 chan = build_channel_realization(snap, topo, params, rng)
 
 print("=== Snapshot ===")
@@ -66,10 +66,10 @@ def fmt_sinr(gamma):
 print(f"{'UE':>4} {'dir':>4} | " + " | ".join(f"{s:>10}" for s in results))
 for ue in range(snap.k):
     direction = "DL" if snap.is_downlink[ue] else "UL"
-    cells = " | ".join(fmt_sinr(r.per_ue_sinr[ue]) for r in results.values())
+    cells = " | ".join(fmt_sinr(r.per_ue_sinr[ue]) for _, r in results.values())
     print(f"{ue:>4} {direction:>4} | {cells}")
 print("-" * 50)
-for name, r in results.items():
+for name, (nulled, r) in results.items():
     print(f"{name:>8}: sum-rate {r.sum_rate_bps / 1e6:7.1f} Mbit/s "
           f"(DL {r.dl_sum_rate_bps / 1e6:6.1f}, UL {r.ul_sum_rate_bps / 1e6:6.1f}), "
-          f"V_ul = {v if name == 'jt_ds' else 0}")
+          f"V_ul = {nulled}")

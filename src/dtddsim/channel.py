@@ -6,6 +6,7 @@ receiver) pair gets exactly one independent fading draw per snapshot; no
 reciprocity is assumed.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -30,8 +31,9 @@ class RadioParams:
     def __post_init__(self):
         for name in ("carrier_freq_ghz", "bandwidth_hz", "noise_figure_db",
                      "p_b_max_w", "p_u_max_w"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"RadioParams.{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"RadioParams.{name} must be strictly positive and finite")
 
     @property
     def noise_power_w(self) -> float:

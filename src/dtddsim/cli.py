@@ -50,10 +50,10 @@ def load_config(path) -> SimulationConfig:
     """Build a SimulationConfig from a JSON file.
 
     Keys mirror the SimulationConfig field names; `radio` and `traffic` are
-    nested sections. The per-point utilization lives in the top-level
-    `utilizations` list, never under `traffic`. Unknown keys and values of
-    the wrong JSON type are a hard error, so typos cannot silently fall
-    back to defaults or fail deep inside the sweep.
+    nested sections, and a key left out of any section keeps its default.
+    The per-point utilization lives in the top-level `utilizations` list,
+    never under `traffic`. Unknown keys and values of the wrong JSON type
+    are a hard error, so typos cannot silently fail deep inside the sweep.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -66,7 +66,7 @@ def load_config(path) -> SimulationConfig:
         kwargs["radio"] = RadioParams(**raw["radio"])
     if "traffic" in raw:
         _check_section(raw["traffic"], _TRAFFIC_FIELDS, "traffic")
-        kwargs["traffic"] = TrafficConfig(utilization=1.0, **raw["traffic"])
+        kwargs["traffic"] = TrafficConfig(**raw["traffic"])
     return SimulationConfig(**kwargs)
 
 

@@ -13,6 +13,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,9 +28,6 @@ from .snapshot import TrafficConfig, generate_snapshot, traffic_load
 from .topology import D_MIN_M, Topology, build_grid
 
 SCHEMES = ("baseline", "jt", "jt_ds")
-
-CSV_HEADER = ("scheme,utilization,delta,snapshot,k_dl,k_ul,v_ul,"
-              "dl_sum_rate_bps,ul_sum_rate_bps,sum_rate_bps,failed")
 
 # default sweep for a 16-BS grid; the single-UE point (K=1) is omitted
 # because it is interference-free and cannot carry mixed traffic
@@ -46,9 +44,7 @@ class SimulationConfig:
     n_bs: int = 16
     area_side: float = 40.0
     radio: RadioParams = field(default_factory=RadioParams)
-    # traffic.utilization is replaced per sweep point from `utilizations`
-    traffic: TrafficConfig = field(default_factory=lambda: TrafficConfig(
-        utilization=1.0, dl_probability=0.5, require_mixed_traffic=True))
+    traffic: TrafficConfig = field(default_factory=TrafficConfig)
     schemes: tuple = SCHEMES
     delta: int = 0
     utilizations: tuple = DEFAULT_UTILIZATIONS
@@ -66,8 +62,6 @@ class SimulationConfig:
             raise ConfigurationError("at least one scheme is required")
         if not self.utilizations:
             raise ConfigurationError("at least one utilization point is required")
-        if any(not 0.0 < u <= 1.0 for u in self.utilizations):
-            raise ConfigurationError("utilizations must lie in (0, 1]")
         if len(set(self.utilizations)) != len(self.utilizations):
             raise ConfigurationError("utilizations must be distinct "
                                      "(records are keyed by the value)")
@@ -77,6 +71,8 @@ class SimulationConfig:
             raise ConfigurationError("delta must be >= 0")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be >= 0")
+        if not 0.0 < self.area_side < math.inf:
+            raise ConfigurationError("area_side must be positive and finite")
         # BSs no farther apart than the path-loss clamp tie for the UEs near
         # them, and a BS that is never strictly strongest never gets a UE:
         # the drop would redraw forever. Wider apart, each BS is strictly
@@ -95,8 +91,7 @@ class SimulationConfig:
             if workers < 1:
                 raise ConfigurationError("worker_count must be >= 1 or 'auto'")
         for utilization in self.utilizations:
-            traffic_load(dataclasses.replace(self.traffic, utilization=utilization),
-                         self.n_bs)
+            traffic_load(utilization, self.n_bs, self.traffic)
 
 
 @dataclass
@@ -114,6 +109,14 @@ class Record:
     ul_sum_rate_bps: float
     sum_rate_bps: float
     failed: bool
+
+
+# records.csv has one column per Record field, each cell formatted by the
+# field's type: floats at 12 significant digits (as _round12), bools as 0/1
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(Record))
+_CSV_ROW = ",".join({float: "{:.12g}", bool: "{:d}"}.get(f.type, "{}")
+                    for f in dataclasses.fields(Record))
+_record_cells = attrgetter(*CSV_HEADER.split(","))
 
 
 @dataclass
@@ -138,10 +141,9 @@ def derive_stream(master_seed: int, utilization_index: int,
 def realize_point(config: SimulationConfig, topology: Topology,
                   utilization_index: int, snapshot_index: int):
     """Generate the shared (snapshot, channel) pair for one sweep task."""
-    traffic = dataclasses.replace(
-        config.traffic, utilization=config.utilizations[utilization_index])
     rng = derive_stream(config.master_seed, utilization_index, snapshot_index)
-    snap = generate_snapshot(topology, traffic, rng)
+    snap = generate_snapshot(topology, config.utilizations[utilization_index],
+                             config.traffic, rng)
     chan = build_channel_realization(snap, topology, config.radio, rng)
     return snap, chan
 
@@ -161,9 +163,9 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
                       delta: int = 0) -> dict:
     """Evaluate schemes on one shared snapshot/channel realization.
 
-    Returns {scheme: SnapshotMetrics, or None if its evaluation failed
-    numerically}. Each scheme reads the evaluation keyed by the number
-    V_ul of uplink BSs its precoder nulls:
+    Returns {scheme: (V_ul, SnapshotMetrics or None if its evaluation failed
+    numerically)}. Each scheme reads the evaluation keyed by the number
+    V_ul of uplink BSs its precoder nulls (reported as 0 for the None key):
       None   baseline: fixed maximum powers, no precoding; without downlink
              traffic every scheme is this distributed uplink operation;
       0      jt: zero-forcing precoder over the downlink UEs + power LP;
@@ -190,7 +192,7 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
             evaluations[v] = snapshot_metrics(snap, sinrs, params.bandwidth_hz)
         except NumericalError:
             evaluations[v] = None
-    return {scheme: evaluations[v] for scheme, v in keys.items()}
+    return {scheme: (v or 0, evaluations[v]) for scheme, v in keys.items()}
 
 
 def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
@@ -198,14 +200,12 @@ def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
     u_idx, s_idx = task
     snap, chan = realize_point(config, topology, u_idx, s_idx)
     records = []
-    for scheme, m in evaluate_snapshot(snap, chan, config.radio, config.schemes,
-                                       config.delta).items():
+    for scheme, (v, m) in evaluate_snapshot(snap, chan, config.radio, config.schemes,
+                                            config.delta).items():
         rates = ((float("nan"),) * 3 if m is None
                  else (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))
         records.append(Record(scheme, config.utilizations[u_idx], config.delta, s_idx,
-                              snap.k_dl, snap.k_ul,
-                              _v_ul_key(scheme, snap, config.delta) or 0,
-                              *rates, failed=m is None))
+                              snap.k_dl, snap.k_ul, v, *rates, failed=m is None))
     return records
 
 
@@ -250,8 +250,7 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     summaries = []
     for (scheme, utilization), point in points.items():
         ok = [r for r in point if not r.failed]
-        k = traffic_load(dataclasses.replace(config.traffic, utilization=utilization),
-                         config.n_bs)
+        k = traffic_load(utilization, config.n_bs, config.traffic)
         entry = {
             "scheme": scheme,
             "utilization": utilization,
@@ -272,13 +271,9 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     return RunResult(records=records, summaries=summaries, config=config)
 
 
-def _fmt(x) -> str:
-    """12-significant-digit text form used across all output files."""
-    return f"{float(x):.12g}"
-
-
 def _round12(x):
-    return None if x is None else float(_fmt(x))
+    """x at the 12 significant digits used across all output files."""
+    return None if x is None else float(f"{float(x):.12g}")
 
 
 def write_results(result: RunResult, out_dir) -> dict:
@@ -292,14 +287,7 @@ def write_results(result: RunResult, out_dir) -> dict:
     paths = {name: os.path.join(out_dir, name)
              for name in ("records.csv", "summary.json", "config.json")}
 
-    lines = [CSV_HEADER]
-    for r in result.records:
-        lines.append(",".join([
-            r.scheme, _fmt(r.utilization), str(r.delta), str(r.snapshot),
-            str(r.k_dl), str(r.k_ul), str(r.v_ul),
-            _fmt(r.dl_sum_rate_bps), _fmt(r.ul_sum_rate_bps),
-            _fmt(r.sum_rate_bps), str(int(r.failed)),
-        ]))
+    lines = [CSV_HEADER] + [_CSV_ROW.format(*_record_cells(r)) for r in result.records]
     with open(paths["records.csv"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -10,21 +10,17 @@ from .topology import Topology, UePlacement, drop_ues
 
 @dataclass
 class TrafficConfig:
-    """Per-snapshot traffic model.
+    """Per-snapshot traffic model; the utilization comes from the sweep point.
 
-    utilization: fraction of BSs with an active UE, K = round(utilization * N).
     dl_probability: per-UE probability of downlink direction (i.i.d.).
     require_mixed_traffic: redraw the direction vector (positions untouched)
         until the snapshot has at least one downlink and one uplink UE.
     """
 
-    utilization: float = 1.0
     dl_probability: float = 0.5
-    require_mixed_traffic: bool = False
+    require_mixed_traffic: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.utilization <= 1.0:
-            raise ConfigurationError("utilization must be in (0, 1]")
         if not 0.0 <= self.dl_probability <= 1.0:
             raise ConfigurationError("dl_probability must be in [0, 1]")
 
@@ -82,17 +78,20 @@ class Snapshot:
         return len(self.ul_bs)
 
 
-def traffic_load(traffic: TrafficConfig, n_bs: int) -> int:
+def traffic_load(utilization: float, n_bs: int, traffic: TrafficConfig) -> int:
     """Active UE count K = round(utilization * N), rounding half-up.
 
-    Raises ConfigurationError when K < 1, and under require_mixed_traffic
-    when K < 2 or the direction draw is degenerate, since no snapshot of
-    such a sweep point could be drawn.
+    Raises ConfigurationError when the utilization is outside (0, 1] (NaN
+    included) or K < 1, and under require_mixed_traffic when K < 2 or the
+    direction draw is degenerate, since no snapshot of such a sweep point
+    could be drawn.
     """
-    k = int(np.floor(traffic.utilization * n_bs + 0.5))
+    if not 0.0 < utilization <= 1.0:
+        raise ConfigurationError(f"utilization {utilization} must be in (0, 1]")
+    k = int(np.floor(utilization * n_bs + 0.5))
     if k < 1:
         raise ConfigurationError(
-            f"utilization {traffic.utilization} with {n_bs} BSs yields no active UE"
+            f"utilization {utilization} with {n_bs} BSs yields no active UE"
         )
     if traffic.require_mixed_traffic:
         if k < 2:
@@ -104,15 +103,15 @@ def traffic_load(traffic: TrafficConfig, n_bs: int) -> int:
     return k
 
 
-def generate_snapshot(topology: Topology, traffic: TrafficConfig,
+def generate_snapshot(topology: Topology, utilization: float, traffic: TrafficConfig,
                       rng: np.random.Generator) -> Snapshot:
-    """Drop K = traffic_load(traffic, N) UEs and assign directions.
+    """Drop K = traffic_load(utilization, N, traffic) UEs and assign directions.
 
     Positions are drawn first (see drop_ues), then one direction draw per UE.
     Under require_mixed_traffic only the direction vector is redrawn, so the
     spatial distribution stays unconditioned.
     """
-    k = traffic_load(traffic, topology.n_bs)
+    k = traffic_load(utilization, topology.n_bs, traffic)
     placement = drop_ues(topology, k, rng)
     while True:
         is_downlink = rng.random(k) < traffic.dl_probability

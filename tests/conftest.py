@@ -15,9 +15,9 @@ def random_scene(seed, n_bs=16, area_side=40.0, utilization=0.5,
     """One (snapshot, channel, params) triple from a seeded stream."""
     topo = build_grid(n_bs, area_side)
     rng = np.random.default_rng(seed)
-    traffic = TrafficConfig(utilization=utilization, dl_probability=dl_probability,
+    traffic = TrafficConfig(dl_probability=dl_probability,
                             require_mixed_traffic=require_mixed)
-    snap = generate_snapshot(topo, traffic, rng)
+    snap = generate_snapshot(topo, utilization, traffic, rng)
     params = RadioParams()
     chan = build_channel_realization(snap, topo, params, rng)
     return snap, chan, params

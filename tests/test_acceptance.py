@@ -141,8 +141,8 @@ def test_c04_included_bs_uplink_dominance():
     checked = 0
     for seed in range(1000):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
-        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
+        _, jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        _, jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())
@@ -231,10 +231,10 @@ def test_c10_statistical_sanity():
     assert 0.98 <= ratio <= 1.02
     # direction split over 1e4 snapshots without the mixed filter
     topo = build_grid(16, 40.0)
-    traffic = TrafficConfig(utilization=0.5)
+    traffic = TrafficConfig(require_mixed_traffic=False)
     dl = total = 0
     for seed in range(10_000):
-        snap = generate_snapshot(topo, traffic, np.random.default_rng(seed))
+        snap = generate_snapshot(topo, 0.5, traffic, np.random.default_rng(seed))
         dl += snap.k_dl
         total += snap.k
     split = dl / total

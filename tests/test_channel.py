@@ -55,6 +55,11 @@ def test_radio_params_validation():
         RadioParams(bandwidth_hz=0.0)
     with pytest.raises(ConfigurationError):
         RadioParams(p_b_max_w=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            RadioParams(p_b_max_w=bad)
+        with pytest.raises(ConfigurationError):
+            RadioParams(p_u_max_w=bad)
 
 
 def test_fading_mean_power_matches_path_gain():

@@ -35,6 +35,12 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.traffic.require_mixed_traffic is True
 
 
+def test_left_out_traffic_key_keeps_its_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"traffic": {"dl_probability": 0.5}}))
+    assert load_config(path).traffic.require_mixed_traffic is True
+
+
 def test_unknown_top_level_key_rejected(tmp_path):
     path = write_config(tmp_path / "cfg.json", snapshots=3)
     with pytest.raises(ConfigurationError, match="snapshots"):

@@ -114,8 +114,9 @@ def test_one_pass_realization_matches_per_matrix_oracle(topology, seed, data,
                                                         dl_probability, carrier_freq_ghz):
     # dl_probability 0 and 1 give K_dl = 0 and K_ul = 0: empty matrices
     k = data.draw(st.integers(1, quick_drop_limit(topology)))
-    traffic = TrafficConfig(utilization=k / topology.n_bs, dl_probability=dl_probability)
-    snap = generate_snapshot(topology, traffic, np.random.default_rng(seed))
+    traffic = TrafficConfig(dl_probability=dl_probability, require_mixed_traffic=False)
+    snap = generate_snapshot(topology, k / topology.n_bs, traffic,
+                             np.random.default_rng(seed))
     assert snap.k == k
     n_dl = np.setdiff1d(np.arange(topology.n_bs), snap.ul_bs)  # the sorted complement
     assert snap.n_dl.dtype == n_dl.dtype

@@ -212,6 +212,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         SimulationConfig(utilizations=(1.5,))
     with pytest.raises(ConfigurationError):
+        SimulationConfig(utilizations=(float("nan"),))
+    with pytest.raises(ConfigurationError):
         SimulationConfig(utilizations=(0.5, 0.5))
     with pytest.raises(ConfigurationError):
         SimulationConfig(snapshots_per_point=0)
@@ -225,6 +227,9 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="spacing"):
         SimulationConfig(n_bs=16, area_side=12.0)
     SimulationConfig(n_bs=16, area_side=12.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="area_side"):
+            SimulationConfig(area_side=bad)
 
 
 def test_records_sorted_by_scheme_then_point():
@@ -269,8 +274,10 @@ def test_shared_evaluations_change_no_number(seed, utilization, delta, traffic):
     shared = evaluate_snapshot(snap, chan, params, delta=delta)
     assert tuple(shared) == SCHEMES
     for scheme in SCHEMES:
-        alone = evaluate_snapshot(snap, chan, params, (scheme,), delta)
-        assert bits(shared[scheme]) == bits(alone[scheme])
+        v_shared, m_shared = shared[scheme]
+        v_alone, m_alone = evaluate_snapshot(snap, chan, params, (scheme,), delta)[scheme]
+        assert v_shared == v_alone
+        assert bits(m_shared) == bits(m_alone)
 
 
 def test_failure_fails_only_its_own_evaluation(monkeypatch):

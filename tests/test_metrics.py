@@ -170,7 +170,7 @@ def test_rate_log2_consistency():
 def test_sum_rate_split_is_exact():
     for seed in range(10):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        for m in evaluate_snapshot(snap, chan, params).values():
+        for _, m in evaluate_snapshot(snap, chan, params).values():
             assert m.sum_rate_bps == m.dl_sum_rate_bps + m.ul_sum_rate_bps
             assert np.all(m.per_ue_sinr >= 0) and np.all(m.per_ue_rate_bps >= 0)
 
@@ -205,8 +205,8 @@ def test_jt_ds_equals_jt_when_no_uplink_bs_fits():
     # full load leaves no spare antennas, so both pipelines are bit-identical
     for seed in range(20):
         snap, chan, params = random_scene(seed=seed, utilization=1.0)
-        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
-        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
+        _, jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        _, jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         assert v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl) == 0
         np.testing.assert_array_equal(jt.per_ue_sinr, jt_ds.per_ue_sinr)
         assert jt.sum_rate_bps == jt_ds.sum_rate_bps
@@ -216,8 +216,8 @@ def test_jt_ds_equals_jt_for_downlink_only_traffic():
     for seed in range(20):
         snap, chan, params = random_scene(seed=seed, dl_probability=1.0,
                                           require_mixed=False)
-        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
-        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
+        _, jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        _, jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         np.testing.assert_array_equal(jt.per_ue_sinr, jt_ds.per_ue_sinr)
 
 
@@ -225,8 +225,8 @@ def test_included_bs_uplink_dominance():
     checked = 0
     for seed in range(60):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
-        jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
+        _, jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
+        _, jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from dtddsim import ConfigurationError, TrafficConfig, build_grid, generate_snapshot
+from dtddsim.snapshot import traffic_load
 
 from conftest import random_scene
 
 
 def test_traffic_config_validation():
+    for utilization in (0.0, 1.2, float("nan")):
+        with pytest.raises(ConfigurationError, match="must be in"):
+            traffic_load(utilization, 16, TrafficConfig())
     with pytest.raises(ConfigurationError):
-        TrafficConfig(utilization=0.0)
-    with pytest.raises(ConfigurationError):
-        TrafficConfig(utilization=1.2)
-    with pytest.raises(ConfigurationError):
-        TrafficConfig(utilization=0.5, dl_probability=1.5)
+        TrafficConfig(dl_probability=1.5)
 
 
 def test_partition_properties_hold():
@@ -28,7 +28,7 @@ def test_partition_properties_hold():
 
 def test_full_load_partition_is_exhaustive():
     topo = build_grid(16, 40.0)
-    snap = generate_snapshot(topo, TrafficConfig(utilization=1.0),
+    snap = generate_snapshot(topo, 1.0, TrafficConfig(require_mixed_traffic=False),
                              np.random.default_rng(0))
     assert snap.k == 16
     assert snap.n_dl_count + snap.n_ul_count == 16
@@ -36,7 +36,8 @@ def test_full_load_partition_is_exhaustive():
 
 def test_forced_all_downlink():
     topo = build_grid(16, 40.0)
-    snap = generate_snapshot(topo, TrafficConfig(utilization=0.25, dl_probability=1.0),
+    snap = generate_snapshot(topo, 0.25, TrafficConfig(dl_probability=1.0,
+                                                       require_mixed_traffic=False),
                              np.random.default_rng(0))
     assert (snap.k, snap.k_dl, snap.k_ul) == (4, 4, 0)
     assert snap.n_dl_count == 16
@@ -44,21 +45,20 @@ def test_forced_all_downlink():
 
 def test_mixed_filter_guarantees_both_directions():
     topo = build_grid(16, 40.0)
-    traffic = TrafficConfig(utilization=0.5, require_mixed_traffic=True)
+    traffic = TrafficConfig(require_mixed_traffic=True)
     for seed in range(300):
-        snap = generate_snapshot(topo, traffic, np.random.default_rng(seed))
+        snap = generate_snapshot(topo, 0.5, traffic, np.random.default_rng(seed))
         assert snap.k_dl >= 1 and snap.k_ul >= 1
 
 
 def test_mixed_traffic_impossible_cases_rejected():
     topo = build_grid(16, 40.0)
     with pytest.raises(ConfigurationError):
-        generate_snapshot(topo, TrafficConfig(utilization=1 / 16,
-                                              require_mixed_traffic=True),
+        generate_snapshot(topo, 1 / 16, TrafficConfig(require_mixed_traffic=True),
                           np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
-        generate_snapshot(topo, TrafficConfig(utilization=0.5, dl_probability=1.0,
-                                              require_mixed_traffic=True),
+        generate_snapshot(topo, 0.5, TrafficConfig(dl_probability=1.0,
+                                                   require_mixed_traffic=True),
                           np.random.default_rng(0))
 
 
@@ -66,7 +66,8 @@ def test_k_rounds_half_up():
     topo = build_grid(16, 40.0)
     cases = {0.5: 8, 0.1: 2, 0.25: 4, 1 / 16: 1, 0.09: 1}  # 0.1*16=1.6 -> 2
     for utilization, expected_k in cases.items():
-        snap = generate_snapshot(topo, TrafficConfig(utilization=utilization),
+        snap = generate_snapshot(topo, utilization,
+                                 TrafficConfig(require_mixed_traffic=False),
                                  np.random.default_rng(1))
         assert snap.k == expected_k
 
@@ -74,16 +75,16 @@ def test_k_rounds_half_up():
 def test_zero_active_ues_rejected():
     topo = build_grid(16, 40.0)
     with pytest.raises(ConfigurationError):
-        generate_snapshot(topo, TrafficConfig(utilization=0.01),
+        generate_snapshot(topo, 0.01, TrafficConfig(require_mixed_traffic=False),
                           np.random.default_rng(0))
 
 
 def test_direction_split_is_balanced():
     topo = build_grid(16, 40.0)
-    traffic = TrafficConfig(utilization=0.5)
+    traffic = TrafficConfig(require_mixed_traffic=False)
     total_dl = total = 0
     for seed in range(2000):
-        snap = generate_snapshot(topo, traffic, np.random.default_rng(seed))
+        snap = generate_snapshot(topo, 0.5, traffic, np.random.default_rng(seed))
         total_dl += snap.k_dl
         total += snap.k
     assert 0.48 <= total_dl / total <= 0.52
@@ -94,10 +95,9 @@ def test_mixed_filter_redraws_directions_only():
     # never move a UE
     topo = build_grid(16, 40.0)
     for seed in range(50):
-        free = generate_snapshot(topo, TrafficConfig(utilization=0.25),
+        free = generate_snapshot(topo, 0.25, TrafficConfig(require_mixed_traffic=False),
                                  np.random.default_rng(seed))
-        mixed = generate_snapshot(topo, TrafficConfig(utilization=0.25,
-                                                      require_mixed_traffic=True),
+        mixed = generate_snapshot(topo, 0.25, TrafficConfig(require_mixed_traffic=True),
                                   np.random.default_rng(seed))
         np.testing.assert_array_equal(free.ue_placement.positions,
                                       mixed.ue_placement.positions)
