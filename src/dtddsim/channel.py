@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, check_field_types
 from .topology import D_MAX_M, D_MIN_M, Topology, pairwise_distances
 
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -29,6 +29,7 @@ class RadioParams:
     p_u_max_w: float = 0.1  # max UE transmit power
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("carrier_freq_ghz", "bandwidth_hz", "noise_figure_db",
                      "p_b_max_w", "p_u_max_w"):
             if not 0 < getattr(self, name) < math.inf:

@@ -3,47 +3,26 @@
 import argparse
 import dataclasses
 import json
-import math
+import os
 import sys
 
 from . import __version__
-from .channel import RadioParams
 from .exceptions import ConfigurationError
-from .harness import SimulationConfig, run_sweep, write_results
-from .snapshot import TrafficConfig
-
-# Expected JSON type of each key: a type (float takes any finite number), a
-# literal string, [item type] for a list, or a tuple of alternatives.
-_TOP_FIELDS = {"n_bs": int, "area_side": float, "radio": dict, "traffic": dict,
-               "schemes": [str], "delta": int, "utilizations": [float],
-               "snapshots_per_point": int, "master_seed": int,
-               "worker_count": (int, "auto")}
-_RADIO_FIELDS = dict.fromkeys(("carrier_freq_ghz", "bandwidth_hz", "noise_figure_db",
-                               "p_b_max_w", "p_u_max_w"), float)
-_TRAFFIC_FIELDS = {"dl_probability": float, "require_mixed_traffic": bool}
+from .harness import SCHEMES, SimulationConfig, run_sweep, write_results
 
 
-def _matches(value, spec) -> bool:
-    if isinstance(spec, tuple):
-        return any(_matches(value, s) for s in spec)
-    if isinstance(spec, list):
-        return isinstance(value, list) and all(_matches(v, spec[0]) for v in value)
-    if isinstance(spec, str):
-        return value == spec
-    if isinstance(value, bool):  # JSON true/false is a Python int, but no number
-        return spec is bool
-    if spec is float:  # Python's json also reads NaN and Infinity
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, spec)
-
-
-def _check_section(section: dict, fields: dict, where: str):
-    unknown = sorted(set(section) - set(fields))
+def _build(cls, section: dict, where: str):
+    """cls(**section), with each dataclass-typed field built from its own
+    nested section; the dataclasses check every value's type and range."""
+    names = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(names))
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
+    kwargs = dict(section)
     for key, value in section.items():
-        if not _matches(value, fields[key]):
-            raise ConfigurationError(f"{where} key {key} has the wrong type: {value!r}")
+        if dataclasses.is_dataclass(names[key]) and isinstance(value, dict):
+            kwargs[key] = _build(names[key], value, key)
+    return cls(**kwargs)
 
 
 def load_config(path) -> SimulationConfig:
@@ -59,66 +38,49 @@ def load_config(path) -> SimulationConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must contain a JSON object")
-    _check_section(raw, _TOP_FIELDS, "config")
-    kwargs = {k: v for k, v in raw.items() if k not in ("radio", "traffic")}
-    if "radio" in raw:
-        _check_section(raw["radio"], _RADIO_FIELDS, "radio")
-        kwargs["radio"] = RadioParams(**raw["radio"])
-    if "traffic" in raw:
-        _check_section(raw["traffic"], _TRAFFIC_FIELDS, "traffic")
-        kwargs["traffic"] = TrafficConfig(**raw["traffic"])
-    return SimulationConfig(**kwargs)
+    return _build(SimulationConfig, raw, "config")
+
+
+def worker_count(text: str):
+    """--workers: an integer or 'auto' (argparse reports a ValueError)."""
+    return text if text == "auto" else int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each flag's dest is the SimulationConfig field it overrides
     p = argparse.ArgumentParser(
         prog="simulate",
         description="Monte Carlo sweep over dynamic-TDD transmission schemes "
                     "(uncoordinated baseline, zero-forcing joint transmission, "
                     "and joint transmission with dummy symbols).")
     p.add_argument("--config", help="JSON config file mirroring SimulationConfig")
-    p.add_argument("--seed", type=int, help="master seed override")
     p.add_argument("--out", default="results", help="output directory (default: results)")
-    p.add_argument("--workers", help="worker processes, integer or 'auto'")
-    p.add_argument("--scheme", action="append", choices=["baseline", "jt", "jt-ds"],
+    p.add_argument("--seed", dest="master_seed", type=int, help="master seed override")
+    p.add_argument("--workers", dest="worker_count", type=worker_count,
+                   help="worker processes, integer or 'auto'")
+    p.add_argument("--scheme", dest="schemes", action="append", choices=SCHEMES,
+                   type=lambda name: name.replace("-", "_"), metavar="{baseline,jt,jt-ds}",
                    help="scheme to run (repeatable; default: all)")
-    p.add_argument("--utilization", action="append", type=float,
+    p.add_argument("--utilization", dest="utilizations", action="append", type=float,
                    help="utilization point (repeatable)")
     p.add_argument("--delta", type=int, help="uplink-BS participation back-off")
-    p.add_argument("--snapshots", type=int, help="snapshots per sweep point")
+    p.add_argument("--snapshots", dest="snapshots_per_point", type=int,
+                   help="snapshots per sweep point")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    path, out = args.pop("config"), args.pop("out")
     try:
-        config = load_config(args.config) if args.config else SimulationConfig()
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.workers is not None:
-            if args.workers == "auto":
-                overrides["worker_count"] = "auto"
-            else:
-                try:
-                    overrides["worker_count"] = int(args.workers)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"--workers must be an integer or 'auto', got {args.workers!r}")
-        if args.scheme:
-            overrides["schemes"] = tuple(s.replace("-", "_") for s in args.scheme)
-        if args.utilization:
-            overrides["utilizations"] = tuple(args.utilization)
-        if args.delta is not None:
-            overrides["delta"] = args.delta
-        if args.snapshots is not None:
-            overrides["snapshots_per_point"] = args.snapshots
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        config = load_config(path) if path else SimulationConfig()
+        config = dataclasses.replace(
+            config, **{key: value for key, value in args.items() if value is not None})
+        os.makedirs(out, exist_ok=True)  # an unusable --out fails before the sweep
         result = run_sweep(config)
-        paths = write_results(result, args.out)
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+        paths = write_results(result, out)
+    except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for entry in result.summaries:

@@ -19,13 +19,13 @@ import numpy as np
 
 from . import __version__
 from .channel import RadioParams, build_channel_realization
-from .exceptions import ConfigurationError, NumericalError
+from .exceptions import ConfigurationError, NumericalError, check_field_types
 from .metrics import (SweepPointSummary, aggregate, baseline_sinrs, jt_sinrs,
                       snapshot_metrics)
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
 from .snapshot import TrafficConfig, generate_snapshot, traffic_load
-from .topology import D_MIN_M, Topology, build_grid
+from .topology import D_MIN_M, Topology, build_grid, grid_side
 
 SCHEMES = ("baseline", "jt", "jt_ds")
 
@@ -45,14 +45,15 @@ class SimulationConfig:
     area_side: float = 40.0
     radio: RadioParams = field(default_factory=RadioParams)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    schemes: tuple = SCHEMES
+    schemes: tuple[str, ...] = SCHEMES
     delta: int = 0
-    utilizations: tuple = DEFAULT_UTILIZATIONS
+    utilizations: tuple[float, ...] = DEFAULT_UTILIZATIONS
     snapshots_per_point: int = 10_000
     master_seed: int = 1
-    worker_count: int = 1  # or "auto"
+    worker_count: int | str = 1  # or "auto"
 
     def __post_init__(self):
+        check_field_types(self)
         self.schemes = tuple(self.schemes)
         self.utilizations = tuple(float(u) for u in self.utilizations)
         unknown = set(self.schemes) - set(SCHEMES)
@@ -77,19 +78,14 @@ class SimulationConfig:
         # them, and a BS that is never strictly strongest never gets a UE:
         # the drop would redraw forever. Wider apart, each BS is strictly
         # strongest around its own position.
-        if self.n_bs >= 1:
-            spacing = self.area_side / math.sqrt(self.n_bs)
-            if spacing <= D_MIN_M:
-                raise ConfigurationError(
-                    f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must "
-                    f"exceed the {D_MIN_M:g} m path-loss clamp")
-        if self.worker_count != "auto":
-            try:
-                workers = int(self.worker_count)
-            except (TypeError, ValueError):
-                raise ConfigurationError("worker_count must be an integer or 'auto'")
-            if workers < 1:
-                raise ConfigurationError("worker_count must be >= 1 or 'auto'")
+        spacing = self.area_side / grid_side(self.n_bs)
+        if spacing <= D_MIN_M:
+            raise ConfigurationError(
+                f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must "
+                f"exceed the {D_MIN_M:g} m path-loss clamp")
+        if self.worker_count != "auto" and (isinstance(self.worker_count, str)
+                                            or self.worker_count < 1):
+            raise ConfigurationError("worker_count must be >= 1 or 'auto'")
         for utilization in self.utilizations:
             traffic_load(utilization, self.n_bs, self.traffic)
 
@@ -212,7 +208,7 @@ def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
 def _resolve_workers(config: SimulationConfig) -> int:
     if config.worker_count == "auto":
         return os.cpu_count() or 1
-    return int(config.worker_count)
+    return config.worker_count
 
 
 def run_sweep(config: SimulationConfig) -> RunResult:

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, check_field_types
 from .topology import Topology, UePlacement, drop_ues
 
 
@@ -21,6 +21,7 @@ class TrafficConfig:
     require_mixed_traffic: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.dl_probability <= 1.0:
             raise ConfigurationError("dl_probability must be in [0, 1]")
 

@@ -39,14 +39,12 @@ class Topology:
 
     def __post_init__(self):
         self.bs_positions = np.asarray(self.bs_positions, dtype=float)
-        n = len(self.bs_positions)
-        if math.isqrt(n) ** 2 != n:
-            raise ConfigurationError(f"number of BSs must be a perfect square, got {n}")
+        grid_side(self.n_bs)  # the BS count must be a perfect square
         if self.area_side <= 0:
             raise ConfigurationError("area_side must be positive")
         if np.any(self.bs_positions < 0) or np.any(self.bs_positions > self.area_side):
             raise ConfigurationError("BS positions must lie within the area")
-        if len(np.unique(self.bs_positions, axis=0)) != n:
+        if len(np.unique(self.bs_positions, axis=0)) != self.n_bs:
             raise ConfigurationError("BS positions must be pairwise distinct")
 
     @property
@@ -78,17 +76,22 @@ class UePlacement:
         return len(self.positions)
 
 
+def grid_side(n_bs: int) -> int:
+    """Side sqrt(n_bs) of a square BS grid; n_bs must be a perfect square >= 1."""
+    side = math.isqrt(max(n_bs, 0))
+    if side < 1 or side * side != n_bs:
+        raise ConfigurationError(
+            f"grid deployment needs a perfect-square BS count n_bs, got {n_bs}")
+    return side
+
+
 def build_grid(n_bs: int, area_side: float) -> Topology:
     """Place n_bs BSs at the cell centers of a sqrt(n)-by-sqrt(n) grid.
 
     Row-major indexing: BS i sits at column i % side, row i // side, with
     coordinate ((col + 0.5) * d, (row + 0.5) * d) where d = area_side / side.
     """
-    if n_bs < 1 or math.isqrt(n_bs) ** 2 != n_bs:
-        raise ConfigurationError(f"grid deployment needs a perfect-square BS count, got {n_bs}")
-    if area_side <= 0:
-        raise ConfigurationError("area_side must be positive")
-    side = math.isqrt(n_bs)
+    side = grid_side(n_bs)
     d = area_side / side
     idx = np.arange(n_bs)
     cols = idx % side

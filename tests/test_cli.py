@@ -3,7 +3,8 @@ import json
 import pytest
 
 import dtddsim.harness as harness
-from dtddsim import __version__
+from dtddsim import (RadioParams, SimulationConfig, TrafficConfig, __version__, run_sweep,
+                     write_results)
 from dtddsim.cli import load_config, main
 from dtddsim.exceptions import ConfigurationError
 
@@ -33,6 +34,20 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.utilizations == (0.25, 0.5)
     assert cfg.radio.noise_figure_db == 9.0
     assert cfg.traffic.require_mixed_traffic is True
+
+
+def test_config_echo_loads_back_into_the_config_that_ran(tmp_path):
+    config = SimulationConfig(
+        n_bs=9, area_side=30.0, radio=RadioParams(carrier_freq_ghz=3.5),
+        traffic=TrafficConfig(dl_probability=0.3, require_mixed_traffic=False),
+        schemes=("jt_ds", "baseline"), delta=2, utilizations=(0.5,),
+        snapshots_per_point=1, master_seed=8, worker_count="auto")
+    write_results(run_sweep(config), tmp_path)  # one task: no worker pool
+    echo = json.loads((tmp_path / "config.json").read_text())
+    del echo["version"]
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert load_config(path) == config
 
 
 def test_left_out_traffic_key_keeps_its_default(tmp_path):
@@ -152,6 +167,29 @@ def test_main_rejects_bad_utilization_before_sweeping(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--out", "taken"],     # --out names a regular file
+    ["--config", "."],      # --config names a directory
+])
+def test_main_reports_unusable_paths_before_sweeping(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    drawn = []
+    monkeypatch.setattr(harness, "generate_snapshot", lambda *args: drawn.append(args))
+    rc = main(argv + ["--snapshots", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert drawn == []
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--delta", "--snapshots", "--seed"])
+def test_main_reports_wrongly_typed_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "2.7"])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: invalid" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -166,6 +204,12 @@ def test_version_flag(capsys):
     (None, "n_bs", True),
     (None, "utilizations", [0.25, None]),
     ("traffic", "require_mixed_traffic", "yes"),
+    ("traffic", "dl_probability", "0.5"),
+    (None, "delta", float("nan")),  # Python's json reads NaN
+    (None, "delta", 1.5),
+    (None, "worker_count", 2.7),
+    (None, "worker_count", "2"),
+    (None, "n_bs", 15),
 ])
 def test_main_reports_wrongly_typed_values(tmp_path, capsys, section, key, value):
     path = write_config(tmp_path / "cfg.json")

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtddsim import (ConfigurationError, NumericalError, Record, RunResult,
-                     SimulationConfig, SingularChannelError, build_grid, derive_stream,
-                     evaluate_snapshot, run_sweep, write_results, __version__)
+from dtddsim import (ConfigurationError, NumericalError, RadioParams, Record, RunResult,
+                     SimulationConfig, SingularChannelError, TrafficConfig, build_grid,
+                     derive_stream, evaluate_snapshot, run_sweep, write_results,
+                     __version__)
 from dtddsim.harness import CSV_HEADER, DEFAULT_UTILIZATIONS, SCHEMES, realize_point
 import dtddsim
 import dtddsim.harness as harness
@@ -230,6 +231,27 @@ def test_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="area_side"):
             SimulationConfig(area_side=bad)
+    # the grid's own rule, at construction rather than inside run_sweep
+    with pytest.raises(ConfigurationError, match="n_bs"):
+        SimulationConfig(n_bs=15)
+    # wrongly typed values, each named in the error
+    for cls, name, value in [
+        (SimulationConfig, "delta", float("nan")),
+        (SimulationConfig, "delta", 1.5),
+        (SimulationConfig, "delta", True),
+        (SimulationConfig, "snapshots_per_point", float("nan")),
+        (SimulationConfig, "master_seed", float("nan")),
+        (SimulationConfig, "n_bs", 16.0),
+        (SimulationConfig, "n_bs", True),
+        (SimulationConfig, "worker_count", 2.7),
+        (SimulationConfig, "worker_count", "2"),
+        (RadioParams, "p_b_max_w", "0.1"),
+        (RadioParams, "p_b_max_w", True),
+        (TrafficConfig, "require_mixed_traffic", "yes"),
+        (TrafficConfig, "dl_probability", "0.5"),
+    ]:
+        with pytest.raises(ConfigurationError, match=name):
+            cls(**{name: value})
 
 
 def test_records_sorted_by_scheme_then_point():
