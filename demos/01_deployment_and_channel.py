@@ -15,7 +15,7 @@ rng = np.random.default_rng(7)
 print("=== BS grid ===")
 topo = build_grid(16, 40.0)
 print(f"{topo.n_bs} BSs on a {topo.area_side:.0f} m x {topo.area_side:.0f} m floor, "
-      f"10 m spacing:")
+      f"{topo.spacing:.0f} m spacing:")
 for row in range(4):
     print("   " + "  ".join(f"({x:4.1f},{y:4.1f})"
                             for x, y in topo.bs_positions[4 * row:4 * row + 4]))

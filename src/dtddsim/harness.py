@@ -8,7 +8,6 @@ independent of worker count and scheduling order.
 
 import dataclasses
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .metrics import (SweepPointSummary, aggregate, baseline_sinrs, jt_sinrs,
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
 from .snapshot import TrafficConfig, generate_snapshot, traffic_load
-from .topology import D_MIN_M, Topology, build_grid, grid_side
+from .topology import D_MIN_M, Topology, build_grid
 
 SCHEMES = ("baseline", "jt", "jt_ds")
 
@@ -72,13 +71,11 @@ class SimulationConfig:
             raise ConfigurationError("delta must be >= 0")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be >= 0")
-        if not 0.0 < self.area_side < math.inf:
-            raise ConfigurationError("area_side must be positive and finite")
         # BSs no farther apart than the path-loss clamp tie for the UEs near
         # them, and a BS that is never strictly strongest never gets a UE:
         # the drop would redraw forever. Wider apart, each BS is strictly
         # strongest around its own position.
-        spacing = self.area_side / grid_side(self.n_bs)
+        spacing = build_grid(self.n_bs, self.area_side).spacing
         if spacing <= D_MIN_M:
             raise ConfigurationError(
                 f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must "
@@ -205,12 +202,6 @@ def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
     return records
 
 
-def _resolve_workers(config: SimulationConfig) -> int:
-    if config.worker_count == "auto":
-        return os.cpu_count() or 1
-    return config.worker_count
-
-
 def run_sweep(config: SimulationConfig) -> RunResult:
     """Run every (scheme, utilization, snapshot) combination and aggregate.
 
@@ -225,8 +216,12 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     tasks = [(u_idx, s_idx)
              for u_idx in range(len(config.utilizations))
              for s_idx in range(config.snapshots_per_point)]
-    workers = _resolve_workers(config)
-    if workers == 1 or len(tasks) == 1:
+    # a process pool forks all its workers at the first submit, and the
+    # output does not depend on their count: use at most one per CPU and task
+    workers = min(os.cpu_count() or 1, len(tasks))
+    if config.worker_count != "auto":
+        workers = min(config.worker_count, workers)
+    if workers == 1:
         per_task = [_run_task(config, topology, t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))

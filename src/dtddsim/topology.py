@@ -1,7 +1,7 @@
 """BS grid deployment and uniform UE placement with strongest-BS association."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,28 +28,31 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Topology:
-    """BS deployment over a square indoor area.
+    """The BS deployment: a sqrt(n)-by-sqrt(n) grid over a square indoor area.
 
-    bs_positions: [N, 2] coordinates in meters, one row per BS.
-    area_side: side length of the service area in meters.
+    n_bs: BS count, a perfect square >= 1.
+    area_side: side length of the service area in meters, positive and finite.
+    spacing: BS pitch d = area_side / sqrt(n_bs) in meters.
+    bs_positions: [N, 2] cell-center coordinates in meters, row-major: BS i
+        sits at column i % side, row i // side, at ((col + 0.5) d, (row + 0.5) d).
     """
 
-    bs_positions: np.ndarray
+    n_bs: int
     area_side: float
+    spacing: float = field(init=False)
+    bs_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.bs_positions = np.asarray(self.bs_positions, dtype=float)
-        grid_side(self.n_bs)  # the BS count must be a perfect square
-        if self.area_side <= 0:
-            raise ConfigurationError("area_side must be positive")
-        if np.any(self.bs_positions < 0) or np.any(self.bs_positions > self.area_side):
-            raise ConfigurationError("BS positions must lie within the area")
-        if len(np.unique(self.bs_positions, axis=0)) != self.n_bs:
-            raise ConfigurationError("BS positions must be pairwise distinct")
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.bs_positions)
+        side = math.isqrt(max(self.n_bs, 0))
+        if side < 1 or side * side != self.n_bs:
+            raise ConfigurationError(
+                f"grid deployment needs a perfect-square BS count n_bs, got {self.n_bs}")
+        if not 0.0 < self.area_side < math.inf:
+            raise ConfigurationError("area_side must be positive and finite")
+        self.spacing = self.area_side / side
+        idx = np.arange(self.n_bs)
+        self.bs_positions = np.column_stack([(idx % side + 0.5) * self.spacing,
+                                             (idx // side + 0.5) * self.spacing])
 
 
 @dataclass
@@ -76,28 +79,9 @@ class UePlacement:
         return len(self.positions)
 
 
-def grid_side(n_bs: int) -> int:
-    """Side sqrt(n_bs) of a square BS grid; n_bs must be a perfect square >= 1."""
-    side = math.isqrt(max(n_bs, 0))
-    if side < 1 or side * side != n_bs:
-        raise ConfigurationError(
-            f"grid deployment needs a perfect-square BS count n_bs, got {n_bs}")
-    return side
-
-
 def build_grid(n_bs: int, area_side: float) -> Topology:
-    """Place n_bs BSs at the cell centers of a sqrt(n)-by-sqrt(n) grid.
-
-    Row-major indexing: BS i sits at column i % side, row i // side, with
-    coordinate ((col + 0.5) * d, (row + 0.5) * d) where d = area_side / side.
-    """
-    side = grid_side(n_bs)
-    d = area_side / side
-    idx = np.arange(n_bs)
-    cols = idx % side
-    rows = idx // side
-    positions = np.column_stack([(cols + 0.5) * d, (rows + 0.5) * d])
-    return Topology(bs_positions=positions, area_side=area_side)
+    """The grid of n_bs BSs over an area_side-by-area_side area (see Topology)."""
+    return Topology(n_bs, area_side)
 
 
 def drop_ues(topology: Topology, k: int, rng: np.random.Generator) -> UePlacement:
@@ -112,6 +96,10 @@ def drop_ues(topology: Topology, k: int, rng: np.random.Generator) -> UePlacemen
     Candidates are drawn in blocks of 4 N. Path loss rises with distance and
     is flat inside the clamp, so each candidate's strongest BS is the one at
     the least clamped distance (ties: lowest index).
+
+    The drop never returns when k exceeds the number of BSs that are ever
+    strongest, e.g. k = 16 on build_grid(16, 6.0), whose BSs tie inside the
+    clamp; SimulationConfig's spacing rule rules this out for sweeps.
     """
     if not 1 <= k <= topology.n_bs:
         raise ConfigurationError(

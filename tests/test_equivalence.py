@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from conftest import random_scene
-from dtddsim import (RadioParams, SingularChannelError, Topology, TrafficConfig,
+from dtddsim import (RadioParams, SingularChannelError, TrafficConfig,
                      baseline_sinrs, build_channel_realization, build_grid,
                      build_precoder, draw_channel, drop_ues, generate_snapshot,
                      jt_sinrs, path_loss_db, solve_power_lp, v_ul, v_ul_max)
@@ -61,11 +61,7 @@ def topologies(draw):
     side = draw(st.integers(1, 5))
     # a 2 m area puts several BSs inside the 3 m path-loss clamp of any point
     area_side = draw(st.sampled_from([2.0, 5.0, 40.0, 120.0]))
-    if draw(st.booleans()):
-        return build_grid(side * side, area_side)
-    layout = np.random.default_rng(draw(seeds))
-    return Topology(bs_positions=layout.uniform(0.0, area_side, size=(side * side, 2)),
-                    area_side=area_side)
+    return build_grid(side * side, area_side)
 
 
 def quick_drop_limit(topology):

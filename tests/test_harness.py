@@ -103,6 +103,50 @@ def test_worker_count_does_not_change_output(tmp_path):
     assert serial == parallel
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("requested, cpus, pools", [
+    (100_000, 4, [4]),    # capped at the CPU count
+    (100_000, 64, [6]),   # capped at the 6 tasks
+    ("auto", 3, [3]),
+    (5, 64, [5]),
+    (100_000, 1, []),     # one CPU: no pool at all
+    (1, 64, []),
+])
+def test_worker_count_capped_at_cpus_and_tasks(tmp_path, monkeypatch, requested,
+                                               cpus, pools):
+    import concurrent.futures
+    import json
+    SerialPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = small_config(snapshots_per_point=3, worker_count=requested)
+    write_results(run_sweep(cfg), tmp_path / "capped")
+    assert SerialPool.made == pools
+    write_results(run_sweep(small_config(snapshots_per_point=3)), tmp_path / "serial")
+    for name in ("records.csv", "summary.json"):
+        assert ((tmp_path / "capped" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
+    config = json.loads((tmp_path / "capped" / "config.json").read_text())
+    assert config["worker_count"] == requested  # the echo keeps the request
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = small_config(snapshots_per_point=8)
     write_results(run_sweep(cfg), tmp_path / "a")
@@ -191,10 +235,17 @@ def test_numerical_failures_are_flagged_and_excluded(monkeypatch, module, name, 
 
 
 def test_package_import_loads_no_pool_or_scipy():
-    # a fresh interpreter: this one has imported scipy for the test oracles
-    code = ("import sys, dtddsim\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('multiprocessing', 'scipy') or m == 'concurrent.futures.process'))")
+    # what setup_s times: importing the package and building a config, whose
+    # validation builds the grid. A fresh interpreter, since this one has
+    # imported scipy for the test oracles; numpy comes first, since only the
+    # modules dtddsim adds count
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import dtddsim\n"
+            "dtddsim.SimulationConfig()\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in "
+            "('multiprocessing', 'scipy') or m.startswith('numpy.ma') "
+            "or m == 'concurrent.futures.process'))")
     src = os.path.dirname(os.path.dirname(dtddsim.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))

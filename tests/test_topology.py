@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtddsim import ConfigurationError, Topology, build_grid, drop_ues
+from dtddsim import ConfigurationError, build_grid, drop_ues
 from dtddsim.channel import path_loss_db
 from dtddsim.topology import pairwise_distances
 
@@ -21,6 +21,7 @@ def test_4x4_grid_matches_cell_center_formula():
     np.testing.assert_allclose(topo.bs_positions, expected)
     np.testing.assert_allclose(topo.bs_positions[0], [5.0, 5.0])
     np.testing.assert_allclose(topo.bs_positions[15], [35.0, 35.0])
+    assert topo.spacing == 10.0
 
 
 @pytest.mark.parametrize("n", [3, 0, -4, 5])
@@ -29,15 +30,10 @@ def test_non_square_bs_count_rejected(n):
         build_grid(n, 40.0)
 
 
-def test_positions_outside_area_rejected():
-    with pytest.raises(ConfigurationError):
-        Topology(bs_positions=np.array([[50.0, 5.0]]), area_side=40.0)
-
-
-def test_duplicate_positions_rejected():
-    with pytest.raises(ConfigurationError):
-        Topology(bs_positions=np.array([[5.0, 5.0], [5.0, 5.0], [1.0, 1.0], [2.0, 2.0]]),
-                 area_side=40.0)
+@pytest.mark.parametrize("area_side", [float("nan"), float("inf"), 0.0, -1.0])
+def test_area_must_be_positive_and_finite(area_side):
+    with pytest.raises(ConfigurationError, match="area_side"):
+        build_grid(16, area_side)
 
 
 def test_pairwise_distances_basic():
@@ -91,9 +87,9 @@ def test_association_is_strongest_bs_with_index_tiebreak():
 def test_tiebreak_prefers_lowest_index_under_clamp():
     # every point of the 2 m area is within the 3 m path-loss clamp of all
     # four BSs, so their path losses tie exactly and the lower index must win
-    topo = Topology(bs_positions=np.array([[0.5, 0.5], [1.5, 0.5],
-                                           [0.5, 1.5], [1.5, 1.5]]),
-                    area_side=2.0)
+    topo = build_grid(4, 2.0)
+    np.testing.assert_array_equal(topo.bs_positions,
+                                  [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
     for seed in range(5):
         assert drop_ues(topo, 1, np.random.default_rng(seed)).serving_bs[0] == 0
 
