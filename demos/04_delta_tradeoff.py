@@ -6,8 +6,6 @@ uplink sum-rate falling and downlink sum-rate recovering, point by point on
 paired snapshots.
 """
 
-import numpy as np
-
 from dtddsim import SimulationConfig, run_sweep
 
 SNAPSHOTS = 600
@@ -25,7 +23,7 @@ for delta in range(5):
                            worker_count="auto")
     result = run_sweep(cfg)
     entry = result.summaries[0]
-    mean_v = np.mean([r.v_ul for r in result.records])
+    mean_v = result.records.v_ul.mean()
     rows.append((delta, mean_v, entry["mean_ul_sum_rate_bps"] / 1e6,
                  entry["mean_dl_sum_rate_bps"] / 1e6,
                  entry["mean_sum_rate_bps"] / 1e6))

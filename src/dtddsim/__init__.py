@@ -42,7 +42,6 @@ from .metrics import (
     jt_sinrs,
 )
 from .harness import (
-    Record,
     RunResult,
     SimulationConfig,
     derive_stream,
@@ -82,7 +81,6 @@ __all__ = [
     "aggregate",
     "baseline_sinrs",
     "jt_sinrs",
-    "Record",
     "RunResult",
     "SimulationConfig",
     "derive_stream",

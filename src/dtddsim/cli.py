@@ -34,8 +34,11 @@ def load_config(path) -> SimulationConfig:
     never under `traffic`. Unknown keys and values of the wrong JSON type
     are a hard error, so typos cannot silently fail deep inside the sweep.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file is not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must contain a JSON object")
     return _build(SimulationConfig, raw, "config")

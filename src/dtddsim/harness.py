@@ -12,7 +12,6 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +35,11 @@ FAILURE_RATE_WARN = 0.01
 
 # the per-point statistics, in summary.json key order
 SUMMARY_STATS = tuple(f.name for f in dataclasses.fields(SweepPointSummary))
+
+
+def _round12(x):
+    """x at the 12 significant digits used across all output files."""
+    return None if x is None else float(f"{float(x):.12g}")
 
 
 @dataclass
@@ -62,7 +66,9 @@ class SimulationConfig:
             raise ConfigurationError("at least one scheme is required")
         if not self.utilizations:
             raise ConfigurationError("at least one utilization point is required")
-        if len(set(self.utilizations)) != len(self.utilizations):
+        # every output prints a utilization at 12 digits, so two that agree
+        # there would make one sweep point twice
+        if len(set(map(_round12, self.utilizations))) != len(self.utilizations):
             raise ConfigurationError("utilizations must be distinct "
                                      "(records are keyed by the value)")
         if self.snapshots_per_point < 1:
@@ -87,34 +93,22 @@ class SimulationConfig:
             traffic_load(utilization, self.n_bs, self.traffic)
 
 
-@dataclass
-class Record:
-    """One scheme evaluation of one snapshot."""
-
-    scheme: str
-    utilization: float
-    delta: int
-    snapshot: int
-    k_dl: int
-    k_ul: int
-    v_ul: int
-    dl_sum_rate_bps: float
-    ul_sum_rate_bps: float
-    sum_rate_bps: float
-    failed: bool
-
-
-# records.csv has one column per Record field, each cell formatted by the
-# field's type: floats at 12 significant digits (as _round12), bools as 0/1
-CSV_HEADER = ",".join(f.name for f in dataclasses.fields(Record))
-_CSV_ROW = ",".join({float: "{:.12g}", bool: "{:d}"}.get(f.type, "{}")
-                    for f in dataclasses.fields(Record))
-_record_cells = attrgetter(*CSV_HEADER.split(","))
+# the sweep's result table: one row per scheme evaluation of one snapshot,
+# one field per records.csv column. Each cell is formatted by the field's
+# kind: floats at 12 significant digits (as _round12), bools as 0/1
+RECORD_DTYPE = np.dtype([
+    ("scheme", f"U{max(map(len, SCHEMES))}"), ("utilization", np.float64),
+    ("delta", np.int64), ("snapshot", np.int64), ("k_dl", np.int64), ("k_ul", np.int64),
+    ("v_ul", np.int64), ("dl_sum_rate_bps", np.float64), ("ul_sum_rate_bps", np.float64),
+    ("sum_rate_bps", np.float64), ("failed", np.bool_)])
+CSV_HEADER = ",".join(RECORD_DTYPE.names)
+_CSV_ROW = ",".join({"f": "{:.12g}", "b": "{:d}"}.get(RECORD_DTYPE[name].kind, "{}")
+                    for name in RECORD_DTYPE.names)
 
 
 @dataclass
 class RunResult:
-    records: list
+    records: np.recarray  # of RECORD_DTYPE, ordered by (scheme, utilization, snapshot)
     summaries: list  # one dict per (scheme, utilization)
     config: SimulationConfig
 
@@ -189,17 +183,17 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
 
 
 def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
-    """Records of every configured scheme on one (utilization, snapshot) task."""
+    """RECORD_DTYPE row tuples of every configured scheme on one task."""
     u_idx, s_idx = task
     snap, chan = realize_point(config, topology, u_idx, s_idx)
-    records = []
+    rows = []
     for scheme, (v, m) in evaluate_snapshot(snap, chan, config.radio, config.schemes,
                                             config.delta).items():
         rates = ((float("nan"),) * 3 if m is None
                  else (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))
-        records.append(Record(scheme, config.utilizations[u_idx], config.delta, s_idx,
-                              snap.k_dl, snap.k_ul, v, *rates, failed=m is None))
-    return records
+        rows.append((scheme, config.utilizations[u_idx], config.delta, s_idx,
+                     snap.k_dl, snap.k_ul, v, *rates, m is None))
+    return rows
 
 
 def run_sweep(config: SimulationConfig) -> RunResult:
@@ -208,7 +202,7 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     Snapshot/channel realizations are generated once per (utilization,
     snapshot) and shared across schemes. Scheme evaluations that fail
     numerically (a rank-deficient channel, an SVD that does not converge, an
-    LP the simplex cannot solve) are kept in the record list with their flag
+    LP the simplex cannot solve) are kept in the record table with their flag
     set and excluded from the aggregates; a failure rate above 1% triggers a
     warning.
     """
@@ -231,40 +225,34 @@ def run_sweep(config: SimulationConfig) -> RunResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(partial(_run_task, config, topology), tasks,
                                      chunksize=chunk))
-    # (scheme, utilization) -> records in snapshot order, in summary order
-    points = {(scheme, u): [] for scheme in SCHEMES if scheme in config.schemes
-              for u in config.utilizations}
-    for recs in per_task:
-        for r in recs:
-            points[r.scheme, r.utilization].append(r)
+    records = np.array([row for rows in per_task for row in rows],
+                       dtype=RECORD_DTYPE).view(np.recarray)
+    records = records[np.lexsort((records.snapshot, records.utilization, records.scheme))]
 
     summaries = []
-    for (scheme, utilization), point in points.items():
-        ok = [r for r in point if not r.failed]
-        k = traffic_load(utilization, config.n_bs, config.traffic)
-        entry = {
-            "scheme": scheme,
-            "utilization": utilization,
-            "delta": config.delta,
-            "traffic_load_k": k,
-            "n_snapshots": len(point),
-            "n_failed": len(point) - len(ok),
-        }
-        entry.update(dataclasses.asdict(aggregate(ok, k)) if ok
-                     else dict.fromkeys(SUMMARY_STATS))
-        summaries.append(entry)
+    for scheme in (s for s in SCHEMES if s in config.schemes):
+        for utilization in config.utilizations:
+            point = records[(records.scheme == scheme)
+                            & (records.utilization == utilization)]
+            ok = point[~point.failed]
+            k = traffic_load(utilization, config.n_bs, config.traffic)
+            entry = {
+                "scheme": scheme,
+                "utilization": utilization,
+                "delta": config.delta,
+                "traffic_load_k": k,
+                "n_snapshots": len(point),
+                "n_failed": len(point) - len(ok),
+            }
+            entry.update(dataclasses.asdict(aggregate(ok, k)) if len(ok)
+                         else dict.fromkeys(SUMMARY_STATS))
+            summaries.append(entry)
 
-    records = [r for key in sorted(points) for r in points[key]]
-    failure_rate = sum(r.failed for r in records) / max(len(records), 1)
+    failure_rate = records.failed.sum() / max(len(records), 1)
     if failure_rate > FAILURE_RATE_WARN:
         warnings.warn(f"{failure_rate:.2%} of snapshot evaluations failed "
                       "(numerical failures)", RuntimeWarning)
     return RunResult(records=records, summaries=summaries, config=config)
-
-
-def _round12(x):
-    """x at the 12 significant digits used across all output files."""
-    return None if x is None else float(f"{float(x):.12g}")
 
 
 def write_results(result: RunResult, out_dir) -> dict:
@@ -278,7 +266,7 @@ def write_results(result: RunResult, out_dir) -> dict:
     paths = {name: os.path.join(out_dir, name)
              for name in ("records.csv", "summary.json", "config.json")}
 
-    lines = [CSV_HEADER] + [_CSV_ROW.format(*_record_cells(r)) for r in result.records]
+    lines = [CSV_HEADER] + [_CSV_ROW.format(*row) for row in result.records.tolist()]
     with open(paths["records.csv"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -97,22 +97,24 @@ def snapshot_metrics(snapshot, sinrs: np.ndarray, bandwidth_hz: float) -> Snapsh
                            ul_sum_rate_bps=ul, sum_rate_bps=dl + ul)
 
 
-def aggregate(results, k: int) -> SweepPointSummary:
+def aggregate(records, k: int) -> SweepPointSummary:
     """Mean sum-rates and the 5th-percentile-per-UE metric for one sweep point.
 
-    The worst-user metric is the 5th percentile of per-snapshot sum-rate
-    (linear interpolation on the sorted sample) divided by the traffic load
-    K. A meaningful percentile wants >= 20 snapshots; fewer are accepted
-    but mostly exercise the mean fields.
+    records is a record array with the sweep's dl_sum_rate_bps,
+    ul_sum_rate_bps and sum_rate_bps columns, one row per snapshot. The
+    worst-user metric is the 5th percentile of per-snapshot sum-rate (linear
+    interpolation on the sorted sample) divided by the traffic load K. A
+    meaningful percentile wants >= 20 snapshots; fewer are accepted but
+    mostly exercise the mean fields.
     """
-    results = list(results)
-    if not results:
+    if len(records) == 0:
         raise ConfigurationError("cannot aggregate an empty result list")
     if k < 1:
         raise ConfigurationError("traffic load k must be >= 1")
-    total = np.array([r.sum_rate_bps for r in results])
-    dl = np.array([r.dl_sum_rate_bps for r in results])
-    ul = np.array([r.ul_sum_rate_bps for r in results])
+    # contiguous copies: numpy sums a strided column in another order, so
+    # its mean could move in the last bit with the table's layout
+    total, dl, ul = (np.array(records[name])
+                     for name in ("sum_rate_bps", "dl_sum_rate_bps", "ul_sum_rate_bps"))
     return SweepPointSummary(
         mean_sum_rate_bps=float(total.mean()),
         mean_dl_sum_rate_bps=float(dl.mean()),

@@ -170,10 +170,12 @@ def test_main_rejects_bad_utilization_before_sweeping(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("argv", [
     ["--out", "taken"],     # --out names a regular file
     ["--config", "."],      # --config names a directory
+    ["--config", "latin1"],  # --config is not UTF-8 text
 ])
 def test_main_reports_unusable_paths_before_sweeping(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")
+    (tmp_path / "latin1").write_bytes(b"\xff{}")
     drawn = []
     monkeypatch.setattr(harness, "generate_snapshot", lambda *args: drawn.append(args))
     rc = main(argv + ["--snapshots", "1"])

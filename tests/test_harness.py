@@ -2,18 +2,21 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtddsim import (ConfigurationError, NumericalError, RadioParams, Record, RunResult,
+from dtddsim import (ConfigurationError, NumericalError, RadioParams, RunResult,
                      SimulationConfig, SingularChannelError, TrafficConfig, build_grid,
                      derive_stream, evaluate_snapshot, run_sweep, write_results,
                      __version__)
-from dtddsim.harness import CSV_HEADER, DEFAULT_UTILIZATIONS, SCHEMES, realize_point
+from dtddsim.harness import (CSV_HEADER, DEFAULT_UTILIZATIONS, RECORD_DTYPE, SCHEMES,
+                             realize_point)
 import dtddsim
 import dtddsim.harness as harness
 
@@ -156,7 +159,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_empty_result_writes_header_only(tmp_path):
-    res = RunResult(records=[], summaries=[], config=small_config())
+    res = RunResult(records=np.recarray(0, dtype=RECORD_DTYPE), summaries=[],
+                    config=small_config())
     write_results(res, tmp_path)
     assert (tmp_path / "records.csv").read_text() == CSV_HEADER + "\n"
 
@@ -267,6 +271,10 @@ def test_config_validation():
         SimulationConfig(utilizations=(float("nan"),))
     with pytest.raises(ConfigurationError):
         SimulationConfig(utilizations=(0.5, 0.5))
+    # distinct floats that every output prints as the same 0.5
+    with pytest.raises(ConfigurationError, match="distinct"):
+        SimulationConfig(utilizations=(0.5, 0.5000000000001), snapshots_per_point=2,
+                         schemes=("jt",))
     with pytest.raises(ConfigurationError):
         SimulationConfig(snapshots_per_point=0)
     with pytest.raises(ConfigurationError):
@@ -306,9 +314,56 @@ def test_config_validation():
 
 
 def test_records_sorted_by_scheme_then_point():
-    res = run_sweep(small_config(snapshots_per_point=4))
-    keys = [(r.scheme, r.utilization, r.snapshot) for r in res.records]
-    assert keys == sorted(keys)
+    # also with schemes and utilizations configured out of order
+    for kw in (dict(), dict(schemes=("jt_ds", "baseline"),
+                            utilizations=(1.0, 0.25, 0.625), delta=1)):
+        cfg = small_config(snapshots_per_point=4, **kw)
+        res = run_sweep(cfg)
+        keys = [(r.scheme, r.utilization, r.snapshot) for r in res.records]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys) == 4 * len(cfg.schemes) * len(cfg.utilizations)
+        # summaries follow SCHEMES order, then the configured utilization order
+        assert [(e["scheme"], e["utilization"]) for e in res.summaries] == [
+            (scheme, u) for scheme in SCHEMES if scheme in cfg.schemes
+            for u in cfg.utilizations]
+
+
+@settings(max_examples=25, deadline=None)
+@given(utilizations=st.lists(st.sampled_from(DEFAULT_UTILIZATIONS), min_size=1,
+                             max_size=3, unique=True),
+       schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, unique=True),
+       delta=st.integers(0, 3), seed=st.integers(0, 2**16), fail=st.booleans())
+def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed, fail):
+    # each row of the table, bit for bit, against the per-snapshot reference;
+    # with a failing power LP, every precoded evaluation is a failed row
+    def failing_lp(*args):
+        raise NumericalError("forced by test")
+
+    cfg = small_config(utilizations=tuple(utilizations), schemes=tuple(schemes),
+                       delta=delta, snapshots_per_point=2, master_seed=seed)
+    with mock.patch.object(harness, "solve_power_lp",
+                           failing_lp if fail else harness.solve_power_lp), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the failure-rate warning
+        records = run_sweep(cfg).records
+        topology = build_grid(cfg.n_bs, cfg.area_side)
+        reference = {(u, s): realize_point(cfg, topology, u_idx, s)
+                     for u_idx, u in enumerate(cfg.utilizations) for s in range(2)}
+        evaluations = {key: evaluate_snapshot(snap, chan, cfg.radio, cfg.schemes, delta)
+                       for key, (snap, chan) in reference.items()}
+    assert len(records) == len(reference) * len(schemes)
+    assert any(r.failed for r in records) == (fail and schemes != ["baseline"])
+    for r in records:
+        snap, _ = reference[r.utilization, r.snapshot]
+        v, m = evaluations[r.utilization, r.snapshot][r.scheme]
+        assert (r.delta, r.k_dl, r.k_ul, r.v_ul) == (delta, snap.k_dl, snap.k_ul, v)
+        rates = np.array([r.dl_sum_rate_bps, r.ul_sum_rate_bps, r.sum_rate_bps])
+        assert r.failed == (m is None)
+        if m is None:
+            assert fail and np.isnan(rates).all()
+        else:
+            want = np.array([m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps])
+            assert rates.tobytes() == want.tobytes()
 
 
 def test_schemes_share_per_snapshot_work(monkeypatch):

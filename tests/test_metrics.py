@@ -8,7 +8,8 @@ from dtddsim import (ChannelRealization, ConfigurationError, RadioParams,
                      baseline_sinrs, build_channel_realization, build_grid,
                      build_precoder, evaluate_snapshot, jt_sinrs, solve_power_lp,
                      v_ul, v_ul_max, zf_precoder)
-from dtddsim.metrics import SnapshotMetrics, snapshot_metrics
+from dtddsim.harness import RECORD_DTYPE
+from dtddsim.metrics import snapshot_metrics
 
 from conftest import random_scene
 
@@ -176,8 +177,9 @@ def test_sum_rate_split_is_exact():
 
 
 def make_metrics(values):
-    return [SnapshotMetrics(np.zeros(1), np.zeros(1), 0.0, 0.0, float(v))
-            for v in values]
+    records = np.zeros(len(values), dtype=RECORD_DTYPE).view(np.recarray)
+    records.sum_rate_bps = values
+    return records
 
 
 def test_aggregate_degenerate_distribution():
@@ -199,6 +201,27 @@ def test_aggregate_mean_of_two():
 def test_aggregate_rejects_empty():
     with pytest.raises(ConfigurationError):
         aggregate([], k=4)
+
+
+def test_aggregate_reads_contiguous_copies_of_the_rate_columns():
+    # the sweep's table is a record array, so each rate column is a strided
+    # view; past numpy's 8192-element reduction buffer a strided column sums
+    # in another order than a contiguous one (10 000 is the CLI's default
+    # snapshots per point), and the means must not depend on that layout
+    rng = np.random.default_rng(2)
+    records = np.zeros(10_000, dtype=RECORD_DTYPE).view(np.recarray)
+    records.dl_sum_rate_bps = rng.uniform(0.0, 2e8, len(records))
+    records.ul_sum_rate_bps = rng.uniform(0.0, 2e8, len(records))
+    records.sum_rate_bps = records.dl_sum_rate_bps + records.ul_sum_rate_bps
+    columns = [records.sum_rate_bps, records.dl_sum_rate_bps, records.ul_sum_rate_bps]
+    total, dl, ul = (np.array(column) for column in columns)
+    # the test only has power if the layouts disagree on this draw
+    assert [c.mean() for c in columns] != [total.mean(), dl.mean(), ul.mean()]
+    s = aggregate(records, k=4)
+    got = np.array([s.mean_sum_rate_bps, s.mean_dl_sum_rate_bps, s.mean_ul_sum_rate_bps,
+                    s.fifth_percentile_user_rate_bps])
+    want = np.array([total.mean(), dl.mean(), ul.mean(), np.percentile(total, 5.0) / 4])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_jt_ds_equals_jt_when_no_uplink_bs_fits():
