@@ -37,22 +37,22 @@ v = v_ul(0, vmax)
 print(f"\nV_ul_max = min(N_ul={snap.n_ul_count}, N_dl-K_dl="
       f"{snap.n_dl_count - snap.k_dl}) = {vmax}; delta = 0 -> include {v} BSs")
 
-res = build_precoder(snap, chan, v, base)
-selected = snap.ul_bs[res.ul_rows]
+w, ul_rows = build_precoder(snap, chan, v, base)
+selected = snap.ul_bs[ul_rows]
 print(f"selected uplink BSs (worst baseline SINR first): {selected.tolist()}")
 
 print("\n=== Zero-forcing quality ===")
-m = assemble_m(chan, res.ul_rows)
-prod = np.abs(m @ res.w)
+m = assemble_m(chan, ul_rows)
+prod = np.abs(m @ w)
 off = prod - np.diag(np.diag(prod))
 print(f"M is {m.shape[0]} x {m.shape[1]}, condition number {np.linalg.cond(m):.1f}")
 print(f"max off-diagonal |row_m(M) w_k|: {off.max():.2e} "
       f"(diagonal entries ~ {np.diag(prod).mean():.2e})")
 
 print("\n=== Per-antenna power LP ===")
-p = solve_power_lp(res.w, params.p_b_max_w, snap.k_dl)
+p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
 print(f"stream powers (W): {np.array2string(p, precision=4)}")
-antenna_load = np.abs(res.w) ** 2 @ p
+antenna_load = np.abs(w) ** 2 @ p
 print(f"antenna loads: max {antenna_load.max() * 1e3:.1f} mW of "
       f"{params.p_b_max_w * 1e3:.0f} mW budget, "
       f"{np.isclose(antenna_load, params.p_b_max_w).sum()} antennas at the cap")

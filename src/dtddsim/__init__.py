@@ -25,7 +25,6 @@ from .channel import (
 )
 from .snapshot import Snapshot, TrafficConfig, generate_snapshot
 from .precoding import (
-    PrecoderResult,
     assemble_m,
     build_precoder,
     select_uplink_bs,
@@ -68,7 +67,6 @@ __all__ = [
     "Snapshot",
     "TrafficConfig",
     "generate_snapshot",
-    "PrecoderResult",
     "assemble_m",
     "build_precoder",
     "select_uplink_bs",

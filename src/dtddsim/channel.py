@@ -8,7 +8,6 @@ reciprocity is assumed.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -84,29 +83,17 @@ def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
     return float(10.0 ** ((dbm - 30.0) / 10.0))
 
 
-def _amplitude(pl):
-    """Amplitude gain sqrt(10^(-PL/10)) of dB path-loss values."""
-    return np.sqrt(10.0 ** (-pl / 10.0))
-
-
-def _fading(amplitude, normals):
-    """amplitude * z, z ~ CN(0, 1), from 2 * amplitude.size standard normals.
-
-    The first half of normals gives the real parts and the second half the
-    imaginary parts, both in C order over amplitude's shape.
-    """
-    re, im = normals.reshape(2, *amplitude.shape)
-    return amplitude * ((re + 1j * im) / np.sqrt(2.0))
-
-
 def draw_channel(path_loss, rng: np.random.Generator):
     """Complex gain(s) sqrt(10^(-PL/10)) * z, z ~ CN(0, 1).
 
     path_loss may be a scalar or an array of dB values; one independent
-    fading draw is made per entry. E[|result|^2] equals the path gain.
+    fading draw is made per entry, from one normal draw of twice its size:
+    the real parts, then the imaginary parts, both in C order over its
+    shape. E[|result|^2] equals the path gain.
     """
     pl = np.asarray(path_loss, dtype=float)
-    out = _fading(_amplitude(pl), rng.standard_normal(2 * pl.size))
+    re, im = rng.standard_normal((2, *pl.shape))
+    out = np.sqrt(10.0 ** (pl / -10.0)) * ((re + 1j * im) / math.sqrt(2.0))
     return out if out.ndim else complex(out)
 
 
@@ -114,27 +101,21 @@ def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
                               rng: np.random.Generator) -> ChannelRealization:
     """Draw all four coefficient matrices for one snapshot.
 
-    One amplitude table covers every pair of nodes (UEs, then BSs), and each
-    matrix takes its entries from it. The fading comes from one normal draw,
-    consumed in a fixed order: h_dl, f_bs, g_ue, h_ul, each as its real parts
-    then its imaginary parts. A given (snapshot, stream state) pair therefore
-    always produces the identical realization, the same one as drawing each
-    matrix with draw_channel in that order. The four matrices cover disjoint
-    (tx, rx) pair types, so every physical pair is drawn exactly once.
+    One path-loss table covers every pair of nodes (UEs, then BSs). Each
+    matrix gathers its dB entries from it and calls draw_channel on them,
+    in a fixed order: h_dl, f_bs, g_ue, h_ul. A given (snapshot, stream
+    state) pair therefore always produces the identical realization. The
+    four matrices cover disjoint (tx, rx) pair types, so every physical pair
+    is drawn exactly once.
     """
     k = snapshot.k
     nodes = np.concatenate([snapshot.ue_placement.positions, topology.bs_positions])
-    amplitude = _amplitude(path_loss_db(pairwise_distances(nodes, nodes),
-                                        params.carrier_freq_ghz))
+    pl = path_loss_db(pairwise_distances(nodes, nodes), params.carrier_freq_ghz)
     dl_bs, ul_bs = k + snapshot.n_dl, k + snapshot.ul_bs
-    blocks = [amplitude[rows[:, None], cols] for rows, cols in (
-        (snapshot.dl_ues, dl_bs),            # h_dl
-        (ul_bs, dl_bs),                      # f_bs
-        (snapshot.dl_ues, snapshot.ul_ues),  # g_ue
-        (snapshot.ul_ues, ul_bs),            # h_ul
-    )]
-    ends = list(accumulate(2 * b.size for b in blocks))
-    normals = rng.standard_normal(ends[-1])
-    h_dl, f_bs, g_ue, h_ul = (_fading(b, normals[end - 2 * b.size:end])
-                              for b, end in zip(blocks, ends))
+    blocks = ((snapshot.dl_ues, dl_bs),            # h_dl
+              (ul_bs, dl_bs),                      # f_bs
+              (snapshot.dl_ues, snapshot.ul_ues),  # g_ue
+              (snapshot.ul_ues, ul_bs))            # h_ul
+    h_dl, f_bs, g_ue, h_ul = (draw_channel(pl[rows[:, None], cols], rng)
+                              for rows, cols in blocks)
     return ChannelRealization(h_dl=h_dl, f_bs=f_bs, g_ue=g_ue, h_ul=h_ul)

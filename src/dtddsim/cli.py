@@ -33,6 +33,8 @@ def load_config(path) -> SimulationConfig:
     The per-point utilization lives in the top-level `utilizations` list,
     never under `traffic`. Unknown keys and values of the wrong JSON type
     are a hard error, so typos cannot silently fail deep inside the sweep.
+    A top-level `version` must name this dtddsim version, so the
+    config.json a run writes can be passed back to reproduce it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -41,6 +43,10 @@ def load_config(path) -> SimulationConfig:
         raise ConfigurationError(f"config file is not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must contain a JSON object")
+    version = raw.pop("version", __version__)
+    if version != __version__:
+        raise ConfigurationError(
+            f"config file is for dtddsim {version}, this is dtddsim {__version__}")
     return _build(SimulationConfig, raw, "config")
 
 

@@ -73,8 +73,6 @@ class SimulationConfig:
                                      "(records are keyed by the value)")
         if self.snapshots_per_point < 1:
             raise ConfigurationError("snapshots_per_point must be >= 1")
-        if self.delta < 0:
-            raise ConfigurationError("delta must be >= 0")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be >= 0")
         # BSs no farther apart than the path-loss clamp tie for the UEs near
@@ -86,6 +84,9 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must "
                 f"exceed the {D_MIN_M:g} m path-loss clamp")
+        # any delta >= n_bs already leaves no uplink BS to null
+        if not 0 <= self.delta <= self.n_bs:
+            raise ConfigurationError(f"delta must be in [0, n_bs = {self.n_bs}]")
         if self.worker_count != "auto" and (isinstance(self.worker_count, str)
                                             or self.worker_count < 1):
             raise ConfigurationError("worker_count must be >= 1 or 'auto'")
@@ -173,9 +174,9 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
             if v is None:
                 sinrs = base
             else:
-                precoder = build_precoder(snap, chan, v, base)
-                p = solve_power_lp(precoder.w, params.p_b_max_w, snap.k_dl)
-                sinrs = jt_sinrs(snap, chan, params, precoder.w, p)
+                w, _ = build_precoder(snap, chan, v, base)
+                p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
+                sinrs = jt_sinrs(snap, chan, params, w, p)
             evaluations[v] = snapshot_metrics(snap, sinrs, params.bandwidth_hz)
         except NumericalError:
             evaluations[v] = None

@@ -15,10 +15,9 @@ from .exceptions import ConfigurationError
 
 @dataclass
 class SnapshotMetrics:
-    """Per-UE SINRs/rates and per-snapshot sums for one evaluation."""
+    """Per-UE SINRs and per-snapshot rate sums for one evaluation."""
 
-    per_ue_sinr: np.ndarray      # [K] linear scale, UE drop order
-    per_ue_rate_bps: np.ndarray  # [K]
+    per_ue_sinr: np.ndarray  # [K] linear scale, UE drop order
     dl_sum_rate_bps: float
     ul_sum_rate_bps: float
     sum_rate_bps: float
@@ -93,8 +92,8 @@ def snapshot_metrics(snapshot, sinrs: np.ndarray, bandwidth_hz: float) -> Snapsh
     rates = bandwidth_hz * np.log2(1.0 + sinrs)
     dl = float(rates[snapshot.dl_ues].sum())
     ul = float(rates[snapshot.ul_ues].sum())
-    return SnapshotMetrics(per_ue_sinr=sinrs, per_ue_rate_bps=rates, dl_sum_rate_bps=dl,
-                           ul_sum_rate_bps=ul, sum_rate_bps=dl + ul)
+    return SnapshotMetrics(per_ue_sinr=sinrs, dl_sum_rate_bps=dl, ul_sum_rate_bps=ul,
+                           sum_rate_bps=dl + ul)
 
 
 def aggregate(records, k: int) -> SweepPointSummary:

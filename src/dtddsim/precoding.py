@@ -7,8 +7,6 @@ is diagonal with real positive entries: each data stream arrives
 interference-free at its own receiver and invisibly at every other row.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelRealization
@@ -17,22 +15,6 @@ from .exceptions import ConfigurationError, NumericalError, SingularChannelError
 # Relative smallest-singular-value cutoff below which a draw is treated as a
 # failed snapshot rather than inverted into garbage.
 RANK_TOL = 1e-12
-
-
-@dataclass
-class PrecoderResult:
-    """Normalized precoder for one snapshot.
-
-    w: [N_dl, K_dl + V_ul] complex, unit-norm columns. Column k < K_dl
-       carries downlink UE k's stream; columns K_dl.. are the zero-power
-       dummy streams toward the selected uplink BSs.
-    ul_rows: [V_ul] uplink rows nulled by the dummy columns (positions in
-       snapshot.ul_ues / snapshot.ul_bs, rows of f_bs), in selection order
-       (worst baseline uplink SINR first).
-    """
-
-    w: np.ndarray
-    ul_rows: np.ndarray
 
 
 def v_ul_max(n_ul: int, n_dl: int, k_dl: int) -> int:
@@ -91,8 +73,6 @@ def zf_precoder(m: np.ndarray):
 
     Returns:
         w: [N_dl, R] unit-norm columns with M @ W diagonal, real, positive.
-        effective_gains: [R] the diagonal of M @ W (= 1 / unnormalized
-            column norms).
     Raises:
         SingularChannelError: smallest singular value <= RANK_TOL * largest.
         NumericalError: the SVD did not converge.
@@ -107,17 +87,24 @@ def zf_precoder(m: np.ndarray):
             f"compound channel matrix is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
         )
     w_raw = vh.conj().T @ (u.conj().T / s[:, None])
-    norms = np.linalg.norm(w_raw, axis=0)
-    return w_raw / norms, 1.0 / norms
+    return w_raw / np.linalg.norm(w_raw, axis=0)
 
 
 def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
-                   baseline_sinr=None) -> PrecoderResult:
+                   baseline_sinr=None):
     """Select uplink BSs, assemble M, and factor the precoder for one snapshot.
 
     v_ul_count = 0 gives the plain joint-transmission precoder; any other
     count selects that many uplink BSs (a negative one is rejected), driven
     by the per-UE baseline_sinr array.
+
+    Returns:
+        w: [N_dl, K_dl + V_ul] complex, unit-norm columns. Column k < K_dl
+            carries downlink UE k's stream; columns K_dl.. are the
+            zero-power dummy streams toward the selected uplink BSs.
+        ul_rows: [V_ul] uplink rows nulled by the dummy columns (positions
+            in snapshot.ul_ues / snapshot.ul_bs, rows of f_bs), in selection
+            order (worst baseline uplink SINR first).
     """
     if v_ul_count == 0:
         ul_rows = np.empty(0, dtype=int)
@@ -125,5 +112,4 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
         raise ConfigurationError("uplink-BS selection needs baseline SINRs")
     else:
         ul_rows = select_uplink_bs(baseline_sinr[snapshot.ul_ues], v_ul_count)
-    w, _ = zf_precoder(assemble_m(channel, ul_rows))
-    return PrecoderResult(w=w, ul_rows=ul_rows)
+    return zf_precoder(assemble_m(channel, ul_rows)), ul_rows

@@ -25,14 +25,10 @@ SEED = 2026
 
 def rates(records, scheme, utilization):
     """(ul, dl, total) arrays over snapshots, NaNs (failed rows) masked out."""
-    rows = sorted((r for r in records
-                   if r.scheme == scheme and r.utilization == utilization),
-                  key=lambda r: r.snapshot)
-    ul = np.array([r.ul_sum_rate_bps for r in rows])
-    dl = np.array([r.dl_sum_rate_bps for r in rows])
-    tot = np.array([r.sum_rate_bps for r in rows])
-    ok = ~np.isnan(tot)
-    return ul[ok], dl[ok], tot[ok]
+    # a point's rows are already in snapshot order
+    rows = records[(records.scheme == scheme) & (records.utilization == utilization)]
+    ok = ~np.isnan(rows.sum_rate_bps)
+    return rows.ul_sum_rate_bps[ok], rows.dl_sum_rate_bps[ok], rows.sum_rate_bps[ok]
 
 
 def paired_margin(diffs):
@@ -73,9 +69,9 @@ def test_c01_zf_nulling_scaled_by_conditioning():
         snap, chan, params = random_scene(seed=seed, utilization=0.5)
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        res = build_precoder(snap, chan, v, base)
-        m = assemble_m(chan, res.ul_rows)
-        scaled = np.abs(m @ res.w) / np.linalg.norm(m, axis=1)[:, None]
+        w, ul_rows = build_precoder(snap, chan, v, base)
+        m = assemble_m(chan, ul_rows)
+        scaled = np.abs(m @ w) / np.linalg.norm(m, axis=1)[:, None]
         np.fill_diagonal(scaled, 0.0)
         ratio = scaled.max() / np.linalg.cond(m)
         worst = max(worst, ratio)
@@ -145,7 +141,8 @@ def test_c04_included_bs_uplink_dominance():
         _, jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())
+        _, ul_rows = build_precoder(snap, chan, v, base)
+        selected = set(ul_rows.tolist())
         for slot, ue in enumerate(snap.ul_ues):
             if slot in selected:
                 assert jt_ds.per_ue_sinr[ue] >= jt.per_ue_sinr[ue] * (1.0 - 1e-9)

@@ -50,6 +50,26 @@ def test_config_echo_loads_back_into_the_config_that_ran(tmp_path):
     assert load_config(path) == config
 
 
+def test_config_echo_reruns_the_same_sweep(tmp_path):
+    config = SimulationConfig(utilizations=(1 / 3, 0.75, 0.2), schemes=("jt_ds", "baseline"),
+                              delta=1, snapshots_per_point=4)
+    write_results(run_sweep(config), tmp_path / "first")
+    assert main(["--config", str(tmp_path / "first" / "config.json"),
+                 "--out", str(tmp_path / "again")]) == 0
+    for name in ("records.csv", "summary.json", "config.json"):
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "first" / name).read_bytes())
+
+
+def test_config_from_another_version_rejected(tmp_path, capsys):
+    path = write_config(tmp_path / "cfg.json", version="0.0.0-other")
+    with pytest.raises(ConfigurationError, match="0.0.0-other"):
+        load_config(path)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "0.0.0-other" in err and __version__ in err
+
+
 def test_left_out_traffic_key_keeps_its_default(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"traffic": {"dl_probability": 0.5}}))
@@ -171,6 +191,7 @@ def test_main_rejects_bad_utilization_before_sweeping(tmp_path, capsys, monkeypa
     ["--out", "taken"],     # --out names a regular file
     ["--config", "."],      # --config names a directory
     ["--config", "latin1"],  # --config is not UTF-8 text
+    ["--delta", "9223372036854775808"],  # past n_bs, and past int64
 ])
 def test_main_reports_unusable_paths_before_sweeping(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -47,12 +47,12 @@ def test_matrix_sinr_matches_per_ue_oracle(seed, k, dl_probability):
     v_max = v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl)
     for v in {0, v_ul(0, v_max)}:  # JT, then JT-DS with its dummy streams
         try:
-            precoder = build_precoder(snap, chan, v, base)
+            w, _ = build_precoder(snap, chan, v, base)
         except SingularChannelError:
             continue
-        p = solve_power_lp(precoder.w, params.p_b_max_w, snap.k_dl)
-        np.testing.assert_allclose(jt_sinrs(snap, chan, params, precoder.w, p),
-                                   oracles.jt_sinrs(snap, chan, params, precoder.w, p),
+        p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
+        np.testing.assert_allclose(jt_sinrs(snap, chan, params, w, p),
+                                   oracles.jt_sinrs(snap, chan, params, w, p),
                                    rtol=RTOL, atol=0)
 
 

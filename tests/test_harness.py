@@ -279,6 +279,12 @@ def test_config_validation():
         SimulationConfig(snapshots_per_point=0)
     with pytest.raises(ConfigurationError):
         SimulationConfig(delta=-1)
+    # past n_bs no uplink BS is left to null, and 2**63 does not fit the
+    # records' int64 delta column
+    for delta in (17, 2**63):
+        with pytest.raises(ConfigurationError, match="delta"):
+            SimulationConfig(delta=delta, utilizations=(0.5,), snapshots_per_point=2)
+    SimulationConfig(delta=16)
     with pytest.raises(ConfigurationError):
         SimulationConfig(worker_count=0)
     # BS spacing at or below the 3 m path-loss clamp

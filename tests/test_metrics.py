@@ -60,7 +60,7 @@ def test_downlink_zf_leakage_is_negligible():
     rng = np.random.default_rng(8)
     for _ in range(20):
         h = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-        w, gains = zf_precoder(np.conj(h))
+        w = zf_precoder(np.conj(h))
         p = np.array([0.03, 0.07])
         chan = channel_of(h_dl=h, n_dl_count=6)
         for i in range(2):
@@ -99,14 +99,14 @@ def test_uplink_sinr_included_bs_precoder_term_nulled():
         snap, chan, params = random_scene(seed=seed, utilization=0.5)
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        res = build_precoder(snap, chan, v, base)
-        m = assemble_m(chan, res.ul_rows)
+        w, ul_rows = build_precoder(snap, chan, v, base)
+        m = assemble_m(chan, ul_rows)
         if np.linalg.cond(m) > 100:
             continue
-        p = solve_power_lp(res.w, params.p_b_max_w, snap.k_dl)
+        p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
         for slot in range(snap.k_ul):
-            if slot in res.ul_rows:
-                leak = float(np.abs(np.conj(chan.f_bs[slot]) @ res.w) ** 2 @ p)
+            if slot in ul_rows:
+                leak = float(np.abs(np.conj(chan.f_bs[slot]) @ w) ** 2 @ p)
                 assert leak < 1e-15 * params.noise_power_w
                 checked += 1
     assert checked > 20
@@ -164,7 +164,6 @@ def test_uplink_only_matches_baseline_when_no_downlink():
 def test_rate_log2_consistency():
     snap, chan, params = manual_scene([[6.0, 4.0]], [0], [True])
     m = snapshot_metrics(snap, np.array([1.0]), 1e7)
-    assert m.per_ue_rate_bps[0] == 1e7
     assert m.sum_rate_bps == m.dl_sum_rate_bps + m.ul_sum_rate_bps == 1e7
 
 
@@ -173,7 +172,7 @@ def test_sum_rate_split_is_exact():
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
         for _, m in evaluate_snapshot(snap, chan, params).values():
             assert m.sum_rate_bps == m.dl_sum_rate_bps + m.ul_sum_rate_bps
-            assert np.all(m.per_ue_sinr >= 0) and np.all(m.per_ue_rate_bps >= 0)
+            assert np.all(m.per_ue_sinr >= 0)
 
 
 def make_metrics(values):
@@ -252,7 +251,8 @@ def test_included_bs_uplink_dominance():
         _, jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        selected = set(build_precoder(snap, chan, v, base).ul_rows.tolist())
+        _, ul_rows = build_precoder(snap, chan, v, base)
+        selected = set(ul_rows.tolist())
         for slot, ue in enumerate(snap.ul_ues):
             if slot in selected:
                 assert jt_ds.per_ue_sinr[ue] >= jt.per_ue_sinr[ue] * (1 - 1e-9)
@@ -262,9 +262,9 @@ def test_included_bs_uplink_dominance():
 
 def test_jt_sinrs_cover_every_ue():
     snap, chan, params = random_scene(seed=33, utilization=0.5)
-    res = build_precoder(snap, chan, 0)
-    p = solve_power_lp(res.w, params.p_b_max_w, snap.k_dl)
-    sinrs = jt_sinrs(snap, chan, params, res.w, p)
+    w, _ = build_precoder(snap, chan, 0)
+    p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
+    sinrs = jt_sinrs(snap, chan, params, w, p)
     assert sinrs.shape == (snap.k,)
     # the LP may starve a downlink UE at a vertex optimum; uplink UEs always
     # transmit at P_u

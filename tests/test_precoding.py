@@ -97,30 +97,33 @@ def test_assemble_m_rejects_too_many_rows():
 
 def test_zf_scalar_channel():
     c = 0.3 - 0.4j  # |c| = 0.5
-    w, gains = zf_precoder(np.array([[c]]))
+    m = np.array([[c]])
+    w = zf_precoder(m)
     np.testing.assert_allclose(w, [[np.conj(c) / abs(c)]], atol=1e-15)
-    np.testing.assert_allclose(gains, [abs(c)], atol=1e-15)
+    np.testing.assert_allclose(np.diag(m @ w), [abs(c)], atol=1e-15)
 
 
 def test_zf_orthonormal_rows_returns_hermitian():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     m = q[:, :3].conj().T  # 3 orthonormal rows
-    w, gains = zf_precoder(m)
+    w = zf_precoder(m)
     np.testing.assert_allclose(w, m.conj().T, atol=1e-12)
-    np.testing.assert_allclose(gains, 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.diag(m @ w), 1.0, atol=1e-12)
 
 
 def test_zf_diagonalizes_random_matrix():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-    w, gains = zf_precoder(m)
+    w = zf_precoder(m)
     np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, atol=1e-12)
     prod = m @ w
     diag = np.diag(prod)
     assert np.all(np.abs(diag.imag) < 1e-12 * np.abs(diag.real))
     assert np.all(diag.real > 0)
-    np.testing.assert_allclose(diag.real, gains, rtol=1e-12)
+    # the gain of stream k is 1 / the norm of the pseudo-inverse's column k
+    np.testing.assert_allclose(diag.real, 1.0 / np.linalg.norm(np.linalg.pinv(m), axis=0),
+                               rtol=1e-12)
     off = prod - np.diag(diag)
     assert np.max(np.abs(off)) < 1e-10 * np.linalg.norm(m, 2)
 
@@ -147,9 +150,9 @@ def test_nulling_scales_with_conditioning():
         snap, chan, params = random_scene(seed=seed, utilization=0.5)
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        res = build_precoder(snap, chan, v, base)
-        m = assemble_m(chan, res.ul_rows)
-        prod = np.abs(m @ res.w)
+        w, ul_rows = build_precoder(snap, chan, v, base)
+        m = assemble_m(chan, ul_rows)
+        prod = np.abs(m @ w)
         row_norms = np.linalg.norm(m, axis=1)
         scaled = prod / row_norms[:, None]
         np.fill_diagonal(scaled, 0.0)
@@ -166,9 +169,9 @@ def test_m_times_w_is_positive_diagonal(seed, utilization, delta):
     snap, chan, params = random_scene(seed=seed, utilization=utilization)
     base = baseline_sinrs(snap, chan, params)
     v = v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-    res = build_precoder(snap, chan, v, base)
-    m = assemble_m(chan, res.ul_rows)
-    prod = m @ res.w
+    w, ul_rows = build_precoder(snap, chan, v, base)
+    m = assemble_m(chan, ul_rows)
+    prod = m @ w
     diag = prod.diagonal()
     assert np.all(diag.real > 0)
     assert np.all(np.abs(diag.imag) <= 1e-10 * diag.real)
@@ -180,12 +183,12 @@ def test_m_times_w_is_positive_diagonal(seed, utilization, delta):
 def test_precoder_without_selection_equals_plain_jt():
     snap, chan, params = random_scene(seed=11, utilization=0.5)
     base = baseline_sinrs(snap, chan, params)
-    jt = build_precoder(snap, chan, 0)
+    jt_w, _ = build_precoder(snap, chan, 0)
     # a huge back-off drives the participation count to zero
-    jt_ds = build_precoder(snap, chan, v_ul(99, v_ul_max(
+    jt_ds_w, ul_rows = build_precoder(snap, chan, v_ul(99, v_ul_max(
         snap.n_ul_count, snap.n_dl_count, snap.k_dl)), base)
-    np.testing.assert_array_equal(jt.w, jt_ds.w)
-    assert jt_ds.ul_rows.size == 0
+    np.testing.assert_array_equal(jt_w, jt_ds_w)
+    assert ul_rows.size == 0
 
 
 def test_selection_requires_baseline_sinrs():
@@ -206,7 +209,7 @@ def test_unit_columns_on_real_snapshots():
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        res = build_precoder(snap, chan, v, base)
-        assert res.w.shape == (snap.n_dl_count, snap.k_dl + len(res.ul_rows))
-        assert snap.k_dl + len(res.ul_rows) <= snap.n_dl_count
-        np.testing.assert_allclose(np.linalg.norm(res.w, axis=0), 1.0, atol=1e-12)
+        w, ul_rows = build_precoder(snap, chan, v, base)
+        assert w.shape == (snap.n_dl_count, snap.k_dl + len(ul_rows))
+        assert snap.k_dl + len(ul_rows) <= snap.n_dl_count
+        np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, atol=1e-12)
