@@ -12,6 +12,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .metrics import (SweepPointSummary, aggregate, baseline_sinrs, jt_sinrs,
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
 from .snapshot import TrafficConfig, generate_snapshot, traffic_load
-from .topology import D_MIN_M, Topology, build_grid
+from .topology import D_MAX_M, D_MIN_M, Topology, build_grid
 
 SCHEMES = ("baseline", "jt", "jt_ds")
 
@@ -57,18 +58,18 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        self.schemes = tuple(self.schemes)
-        self.utilizations = tuple(float(u) for u in self.utilizations)
+        # each utilization runs as the 12-digit value every output prints
+        self.utilizations = tuple(map(_round12, self.utilizations))
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
+        self.schemes = tuple(s for s in SCHEMES if s in self.schemes)
         if not self.schemes:
             raise ConfigurationError("at least one scheme is required")
         if not self.utilizations:
             raise ConfigurationError("at least one utilization point is required")
-        # every output prints a utilization at 12 digits, so two that agree
-        # there would make one sweep point twice
-        if len(set(map(_round12, self.utilizations))) != len(self.utilizations):
+        # two that agree at 12 digits would make one sweep point twice
+        if len(set(self.utilizations)) != len(self.utilizations):
             raise ConfigurationError("utilizations must be distinct "
                                      "(records are keyed by the value)")
         if self.snapshots_per_point < 1:
@@ -77,13 +78,15 @@ class SimulationConfig:
             raise ConfigurationError("master_seed must be >= 0")
         # BSs no farther apart than the path-loss clamp tie for the UEs near
         # them, and a BS that is never strictly strongest never gets a UE:
-        # the drop would redraw forever. Wider apart, each BS is strictly
-        # strongest around its own position.
+        # the drop would redraw forever. Past D_MAX_M path loss is flat, so a
+        # cell corner, spacing / sqrt(2) from its BSs, would tie all of them.
+        # In between, each BS is strictly strongest around its own position.
         spacing = build_grid(self.n_bs, self.area_side).spacing
-        if spacing <= D_MIN_M:
+        if not D_MIN_M < spacing < np.sqrt(2) * D_MAX_M:
             raise ConfigurationError(
-                f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must "
-                f"exceed the {D_MIN_M:g} m path-loss clamp")
+                f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must exceed the "
+                f"{D_MIN_M:g} m path-loss clamp and stay below sqrt(2) x the "
+                f"{D_MAX_M:g} m path-loss range")
         # any delta >= n_bs already leaves no uplink BS to null
         if not 0 <= self.delta <= self.n_bs:
             raise ConfigurationError(f"delta must be in [0, n_bs = {self.n_bs}]")
@@ -109,8 +112,8 @@ _CSV_ROW = ",".join({"f": "{:.12g}", "b": "{:d}"}.get(RECORD_DTYPE[name].kind, "
 
 @dataclass
 class RunResult:
-    records: np.recarray  # of RECORD_DTYPE, ordered by (scheme, utilization, snapshot)
-    summaries: list  # one dict per (scheme, utilization)
+    records: np.recarray  # of RECORD_DTYPE, one block per (scheme, utilization)
+    summaries: list  # one dict per block, in the same order
     config: SimulationConfig
 
 
@@ -201,11 +204,12 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     """Run every (scheme, utilization, snapshot) combination and aggregate.
 
     Snapshot/channel realizations are generated once per (utilization,
-    snapshot) and shared across schemes. Scheme evaluations that fail
-    numerically (a rank-deficient channel, an SVD that does not converge, an
-    LP the simplex cannot solve) are kept in the record table with their flag
-    set and excluded from the aggregates; a failure rate above 1% triggers a
-    warning.
+    snapshot) and shared across schemes. The records run by scheme, then
+    configured utilization, then snapshot: one block per sweep point. Scheme
+    evaluations that fail numerically (a rank-deficient channel, an SVD
+    that does not converge, an LP the simplex cannot solve) are kept in the
+    record table with their flag set and excluded from the aggregates; a
+    failure rate above 1% triggers a warning.
     """
     topology = build_grid(config.n_bs, config.area_side)
     tasks = [(u_idx, s_idx)
@@ -226,28 +230,26 @@ def run_sweep(config: SimulationConfig) -> RunResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(partial(_run_task, config, topology), tasks,
                                      chunksize=chunk))
-    records = np.array([row for rows in per_task for row in rows],
-                       dtype=RECORD_DTYPE).view(np.recarray)
-    records = records[np.lexsort((records.snapshot, records.utilization, records.scheme))]
+    # one row per task and scheme: transposed, each scheme's rows in task order
+    records = np.array([row for rows in per_task for row in rows], dtype=RECORD_DTYPE)
+    records = records.reshape(len(tasks), -1).T.reshape(-1).view(np.recarray)
 
     summaries = []
-    for scheme in (s for s in SCHEMES if s in config.schemes):
-        for utilization in config.utilizations:
-            point = records[(records.scheme == scheme)
-                            & (records.utilization == utilization)]
-            ok = point[~point.failed]
-            k = traffic_load(utilization, config.n_bs, config.traffic)
-            entry = {
-                "scheme": scheme,
-                "utilization": utilization,
-                "delta": config.delta,
-                "traffic_load_k": k,
-                "n_snapshots": len(point),
-                "n_failed": len(point) - len(ok),
-            }
-            entry.update(dataclasses.asdict(aggregate(ok, k)) if len(ok)
-                         else dict.fromkeys(SUMMARY_STATS))
-            summaries.append(entry)
+    for (scheme, utilization), point in zip(product(config.schemes, config.utilizations),
+                                            records.reshape(-1, config.snapshots_per_point)):
+        ok = point[~point.failed]
+        k = traffic_load(utilization, config.n_bs, config.traffic)
+        entry = {
+            "scheme": scheme,
+            "utilization": utilization,
+            "delta": config.delta,
+            "traffic_load_k": k,
+            "n_snapshots": len(point),
+            "n_failed": len(point) - len(ok),
+        }
+        entry.update(dataclasses.asdict(aggregate(ok, k)) if len(ok)
+                     else dict.fromkeys(SUMMARY_STATS))
+        summaries.append(entry)
 
     failure_rate = records.failed.sum() / max(len(records), 1)
     if failure_rate > FAILURE_RATE_WARN:
@@ -259,7 +261,7 @@ def run_sweep(config: SimulationConfig) -> RunResult:
 def write_results(result: RunResult, out_dir) -> dict:
     """Write records.csv, summary.json and config.json under out_dir.
 
-    Rows are ordered by (scheme, utilization, snapshot) and all numbers are
+    Rows and summaries keep the result's order, and all numbers are
     serialized with 12 significant digits, so identical configurations
     produce byte-identical files.
     """
@@ -276,15 +278,12 @@ def write_results(result: RunResult, out_dir) -> dict:
         out = dict(entry)
         for key in SUMMARY_STATS:
             out[key] = _round12(out[key])
-        out["utilization"] = _round12(out["utilization"])
         summaries.append(out)
     with open(paths["summary.json"], "w") as fh:
         json.dump(summaries, fh, indent=2)
         fh.write("\n")
 
     config = dataclasses.asdict(result.config)
-    config["schemes"] = list(result.config.schemes)
-    config["utilizations"] = [_round12(u) for u in result.config.utilizations]
     config["version"] = __version__
     with open(paths["config.json"], "w") as fh:
         json.dump(config, fh, indent=2)

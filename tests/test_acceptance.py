@@ -46,18 +46,13 @@ def fig_low_run():
 
 
 @pytest.fixture(scope="module")
-def high_util_run():
-    cfg = SimulationConfig(utilizations=(0.75,), snapshots_per_point=2000,
-                           schemes=("jt", "jt_ds"), master_seed=SEED)
-    return run_sweep(cfg)
-
-
-@pytest.fixture(scope="module")
 def delta_sweep():
+    # the delta = 0 sweep also runs JT, for criterion 6's high-load comparison
     runs = {}
     for delta in range(5):
         cfg = SimulationConfig(utilizations=(0.75,), snapshots_per_point=2000,
-                               schemes=("jt_ds",), delta=delta, master_seed=SEED)
+                               schemes=("jt", "jt_ds") if delta == 0 else ("jt_ds",),
+                               delta=delta, master_seed=SEED)
         runs[delta] = run_sweep(cfg).records
     return runs
 
@@ -168,7 +163,7 @@ def test_c05_uplink_gain_of_jt_ds(fig_low_run):
 
 
 def test_c06_downlink_gain_low_load_and_jt_advantage_high_load(
-        fig_low_run, high_util_run):
+        fig_low_run, delta_sweep):
     result, _ = fig_low_run
     _, dl_base, _ = rates(result.records, "baseline", 0.25)
     _, dl_jt, _ = rates(result.records, "jt", 0.25)
@@ -177,8 +172,8 @@ def test_c06_downlink_gain_low_load_and_jt_advantage_high_load(
         diffs = scheme_dl - dl_base
         assert diffs.mean() > paired_margin(diffs), (
             f"{name} downlink not above baseline at u=0.25")
-    _, dl_jt_hi, _ = rates(high_util_run.records, "jt", 0.75)
-    _, dl_jtds_hi, _ = rates(high_util_run.records, "jt_ds", 0.75)
+    _, dl_jt_hi, _ = rates(delta_sweep[0], "jt", 0.75)
+    _, dl_jtds_hi, _ = rates(delta_sweep[0], "jt_ds", 0.75)
     diffs = dl_jt_hi - dl_jtds_hi
     assert diffs.mean() > paired_margin(diffs)
     print("\nPASS criterion 6: downlink jt and jt_ds > baseline at u=0.25; "

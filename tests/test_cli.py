@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -51,14 +52,20 @@ def test_config_echo_loads_back_into_the_config_that_ran(tmp_path):
 
 
 def test_config_echo_reruns_the_same_sweep(tmp_path):
-    config = SimulationConfig(utilizations=(1 / 3, 0.75, 0.2), schemes=("jt_ds", "baseline"),
-                              delta=1, snapshots_per_point=4)
-    write_results(run_sweep(config), tmp_path / "first")
-    assert main(["--config", str(tmp_path / "first" / "config.json"),
-                 "--out", str(tmp_path / "again")]) == 0
-    for name in ("records.csv", "summary.json", "config.json"):
-        assert ((tmp_path / "again" / name).read_bytes()
-                == (tmp_path / "first" / name).read_bytes())
+    for i, config in enumerate([
+        SimulationConfig(utilizations=(1 / 3, 0.75, 0.2), schemes=("jt_ds", "baseline"),
+                         delta=1, snapshots_per_point=4),
+        # 16 u + 0.5 = 1.99999999999984 gives K = 1, and its 12-digit echo
+        # 0.09375 gives K = 2: the sweep must run the value config.json prints
+        SimulationConfig(utilizations=(0.09374999999999,), schemes=("baseline",),
+                         traffic=TrafficConfig(require_mixed_traffic=False),
+                         snapshots_per_point=3),
+    ]):
+        first, again = tmp_path / f"first{i}", tmp_path / f"again{i}"
+        write_results(run_sweep(config), first)
+        assert main(["--config", str(first / "config.json"), "--out", str(again)]) == 0
+        for name in ("records.csv", "summary.json", "config.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_config_from_another_version_rejected(tmp_path, capsys):
@@ -148,14 +155,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
 def test_main_rejects_bs_spacing_inside_path_loss_clamp(tmp_path, capsys):
     # every point of a 2 m area is within 3 m of all 16 BSs: only BS 0 is
-    # ever strongest, so dropping a second UE would never end
+    # ever strongest, so dropping a second UE would never end. The cell
+    # corners of a 1e7 m area are past the 100 m path-loss range of every
+    # BS: their UEs all go to BS 0, and a second UE is all but never placed
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"area_side": 2.0, "utilizations": [0.25],
-                                "snapshots_per_point": 1}))
-    rc = main(["--config", str(path), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "spacing" in err
+    for area_side in (2.0, 1e7):
+        path.write_text(json.dumps({"area_side": area_side, "utilizations": [0.25],
+                                    "snapshots_per_point": 1}))
+        with mock.patch.object(harness, "generate_snapshot", side_effect=AssertionError):
+            rc = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spacing" in err
 
 
 @pytest.mark.parametrize("overrides, argv", [

@@ -275,6 +275,10 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="distinct"):
         SimulationConfig(utilizations=(0.5, 0.5000000000001), snapshots_per_point=2,
                          schemes=("jt",))
+    # utilizations are taken at the 12 digits every output prints, schemes
+    # once each in SCHEMES order
+    assert SimulationConfig(utilizations=(1 / 3, 0.25)).utilizations == (0.333333333333, 0.25)
+    assert SimulationConfig(schemes=("jt_ds", "jt", "jt_ds")).schemes == ("jt", "jt_ds")
     with pytest.raises(ConfigurationError):
         SimulationConfig(snapshots_per_point=0)
     with pytest.raises(ConfigurationError):
@@ -293,6 +297,12 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="spacing"):
         SimulationConfig(n_bs=16, area_side=12.0)
     SimulationConfig(n_bs=16, area_side=12.5)
+    # spacing at or past sqrt(2) x the 100 m path-loss range: a cell corner
+    # would be out of range of every BS
+    for area_side in (4 * 141.5, 1e7):
+        with pytest.raises(ConfigurationError, match="spacing"):
+            SimulationConfig(area_side=area_side)
+    SimulationConfig(area_side=4 * 141.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="area_side"):
             SimulationConfig(area_side=bad)
@@ -320,18 +330,23 @@ def test_config_validation():
 
 
 def test_records_sorted_by_scheme_then_point():
-    # also with schemes and utilizations configured out of order
+    # also with schemes and utilizations configured out of order: the config
+    # keeps its schemes in SCHEMES order, and records and summaries both run
+    # by scheme, then the configured utilization order, then snapshot
     for kw in (dict(), dict(schemes=("jt_ds", "baseline"),
                             utilizations=(1.0, 0.25, 0.625), delta=1)):
         cfg = small_config(snapshots_per_point=4, **kw)
+        if kw:
+            assert cfg.schemes == ("baseline", "jt_ds")
         res = run_sweep(cfg)
         keys = [(r.scheme, r.utilization, r.snapshot) for r in res.records]
-        assert keys == sorted(keys)
+        assert keys == [(s, u, i) for s in cfg.schemes for u in cfg.utilizations
+                        for i in range(4)]
         assert len(set(keys)) == len(keys) == 4 * len(cfg.schemes) * len(cfg.utilizations)
         # summaries follow SCHEMES order, then the configured utilization order
         assert [(e["scheme"], e["utilization"]) for e in res.summaries] == [
             (scheme, u) for scheme in SCHEMES if scheme in cfg.schemes
-            for u in cfg.utilizations]
+            for u in cfg.utilizations] == list(dict.fromkeys(k[:2] for k in keys))
 
 
 @settings(max_examples=25, deadline=None)
