@@ -3,7 +3,7 @@
 Every (utilization, snapshot) pair owns one random stream derived from the
 master seed, and all schemes evaluate the same snapshot and channel drawn
 from it. Output is therefore a pure function of the configuration,
-independent of worker count and scheduling order.
+independent of worker count, chunk size and scheduling order.
 """
 
 import dataclasses
@@ -33,6 +33,10 @@ SCHEMES = ("baseline", "jt", "jt_ds")
 DEFAULT_UTILIZATIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 FAILURE_RATE_WARN = 0.01
+
+# most snapshots a sweep realizes before it evaluates them layer by layer
+# (_evaluate_chunk); past a few dozen a larger chunk only holds more memory
+CHUNK = 32
 
 # the per-point statistics, in summary.json key order
 SUMMARY_STATS = tuple(f.name for f in dataclasses.fields(SweepPointSummary))
@@ -150,6 +154,44 @@ def _v_ul_key(scheme: str, snap, delta: int):
     return v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
 
 
+def _each(jobs: dict, step) -> dict:
+    """{job: step(job, value)} for every job whose step raises no NumericalError."""
+    out = {}
+    for job, value in jobs.items():
+        try:
+            out[job] = step(job, value)
+        except NumericalError:
+            pass
+    return out
+
+
+def _evaluate_chunk(pairs, params: RadioParams, schemes, delta: int) -> list:
+    """evaluate_snapshot on each (snapshot, channel) pair, one layer at a time.
+
+    Every layer runs across the whole chunk before the next starts: the
+    same per-snapshot calls as one snapshot after another, in a loop order
+    that keeps each layer's code and data warm. A job is one (snapshot,
+    V_ul key); a NumericalError drops it from the later layers.
+    """
+    keys = [{scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
+            for snap, _ in pairs]
+    base = _each({i: None for i, k in enumerate(keys)
+                  if any(v is None or v > 0 for v in k.values())},
+                 lambda i, _: baseline_sinrs(*pairs[i], params))
+    # JT needs no baseline; a failed baseline fails the keys that select with it
+    jobs = {(i, v): base.get(i) for i, k in enumerate(keys) for v in k.values()
+            if v == 0 or (v is not None and i in base)}
+    ws = _each(jobs, lambda job, b: build_precoder(*pairs[job[0]], job[1], b)[0])
+    ps = _each(ws, lambda job, w: solve_power_lp(w, params.p_b_max_w,
+                                                 pairs[job[0]][0].k_dl))
+    sinrs = _each(ps, lambda job, p: jt_sinrs(*pairs[job[0]], params, ws[job], p))
+    sinrs.update(((i, None), b) for i, b in base.items() if None in keys[i].values())
+    metrics = _each(sinrs, lambda job, s: snapshot_metrics(pairs[job[0]][0], s,
+                                                           params.bandwidth_hz))
+    return [{scheme: (v or 0, metrics.get((i, v))) for scheme, v in k.items()}
+            for i, k in enumerate(keys)]
+
+
 def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
                       delta: int = 0) -> dict:
     """Evaluate schemes on one shared snapshot/channel realization.
@@ -164,40 +206,25 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
              BSs, which join the precoder as zero-power rows, then power LP.
     Schemes with one key share one evaluation, so JT-DS at V_ul = 0 is JT.
     The baseline SINRs are computed at most once, and only if the baseline
-    or a JT-DS selection needs them. A NumericalError fails only its own key.
+    or a JT-DS selection needs them. A NumericalError fails only its own
+    key, and a failed baseline also the JT-DS selection that reads it.
+    This is the sweep's evaluation of a chunk of one snapshot.
     """
-    keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
-    evaluations, base = {}, None
-    for v in keys.values():
-        if v in evaluations:
-            continue
-        try:
-            if base is None and (v is None or v > 0):
-                base = baseline_sinrs(snap, chan, params)
-            if v is None:
-                sinrs = base
-            else:
-                w, _ = build_precoder(snap, chan, v, base)
-                p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
-                sinrs = jt_sinrs(snap, chan, params, w, p)
-            evaluations[v] = snapshot_metrics(snap, sinrs, params.bandwidth_hz)
-        except NumericalError:
-            evaluations[v] = None
-    return {scheme: (v or 0, evaluations[v]) for scheme, v in keys.items()}
+    return _evaluate_chunk([(snap, chan)], params, schemes, delta)[0]
 
 
-def _run_task(config: SimulationConfig, topology: Topology, task) -> list:
-    """RECORD_DTYPE row tuples of every configured scheme on one task."""
-    u_idx, s_idx = task
-    snap, chan = realize_point(config, topology, u_idx, s_idx)
+def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarray:
+    """RECORD_DTYPE rows of every configured scheme on each task, in task order."""
+    pairs = [realize_point(config, topology, u_idx, s_idx) for u_idx, s_idx in tasks]
+    evaluations = _evaluate_chunk(pairs, config.radio, config.schemes, config.delta)
     rows = []
-    for scheme, (v, m) in evaluate_snapshot(snap, chan, config.radio, config.schemes,
-                                            config.delta).items():
-        rates = ((float("nan"),) * 3 if m is None
-                 else (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))
-        rows.append((scheme, config.utilizations[u_idx], config.delta, s_idx,
-                     snap.k_dl, snap.k_ul, v, *rates, m is None))
-    return rows
+    for (u_idx, s_idx), (snap, _), evaluation in zip(tasks, pairs, evaluations):
+        for scheme, (v, m) in evaluation.items():
+            rates = ((float("nan"),) * 3 if m is None
+                     else (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))
+            rows.append((scheme, config.utilizations[u_idx], config.delta, s_idx,
+                         snap.k_dl, snap.k_ul, v, *rates, m is None))
+    return np.array(rows, dtype=RECORD_DTYPE)
 
 
 def run_sweep(config: SimulationConfig) -> RunResult:
@@ -216,22 +243,25 @@ def run_sweep(config: SimulationConfig) -> RunResult:
              for u_idx in range(len(config.utilizations))
              for s_idx in range(config.snapshots_per_point)]
     # a process pool forks all its workers at the first submit, and the
-    # output does not depend on their count: use at most one per CPU and task
-    workers = min(os.cpu_count() or 1, len(tasks))
+    # output does not depend on their count: use at most one per task and
+    # per CPU this process may run on (its affinity mask, where there is one)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(tasks))
     if config.worker_count != "auto":
         workers = min(config.worker_count, workers)
+    chunk = max(1, min(CHUNK, len(tasks) // (workers * 8)))
+    chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
     if workers == 1:
-        per_task = [_run_task(config, topology, t) for t in tasks]
+        per_chunk = [_run_chunk(config, topology, c) for c in chunks]
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
         # imported here: the process pool pulls in multiprocessing, which a
         # one-worker sweep never needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(partial(_run_task, config, topology), tasks,
-                                     chunksize=chunk))
+            per_chunk = list(pool.map(partial(_run_chunk, config, topology), chunks))
     # one row per task and scheme: transposed, each scheme's rows in task order
-    records = np.array([row for rows in per_task for row in rows], dtype=RECORD_DTYPE)
+    records = np.concatenate(per_chunk)
     records = records.reshape(len(tasks), -1).T.reshape(-1).view(np.recarray)
 
     summaries = []

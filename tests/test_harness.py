@@ -19,6 +19,8 @@ from dtddsim.harness import (CSV_HEADER, DEFAULT_UTILIZATIONS, RECORD_DTYPE, SCH
                              realize_point)
 import dtddsim
 import dtddsim.harness as harness
+import dtddsim.precoding as precoding
+import dtddsim.snapshot as snapshot_module
 
 from conftest import random_scene
 
@@ -97,13 +99,15 @@ def test_realize_point_is_pure():
 
 
 def test_worker_count_does_not_change_output(tmp_path):
-    cfg1 = small_config(snapshots_per_point=12, worker_count=1)
-    cfg2 = small_config(snapshots_per_point=12, worker_count=3)
+    # 80 tasks: chunks of several tasks both on one worker and in the pool
+    cfg1 = small_config(snapshots_per_point=40, worker_count=1)
+    cfg2 = small_config(snapshots_per_point=40, worker_count=3)
     write_results(run_sweep(cfg1), tmp_path / "serial")
     write_results(run_sweep(cfg2), tmp_path / "parallel")
-    serial = (tmp_path / "serial" / "records.csv").read_bytes()
-    parallel = (tmp_path / "parallel" / "records.csv").read_bytes()
-    assert serial == parallel
+    for name in ("records.csv", "summary.json"):
+        serial = (tmp_path / "serial" / name).read_bytes()
+        parallel = (tmp_path / "parallel" / name).read_bytes()
+        assert serial == parallel
 
 
 class SerialPool:
@@ -138,7 +142,10 @@ def test_worker_count_capped_at_cpus_and_tasks(tmp_path, monkeypatch, requested,
     import json
     SerialPool.made = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # the CPUs this process may run on (taskset, a cpuset), not the machine's 128
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 128)
     cfg = small_config(snapshots_per_point=3, worker_count=requested)
     write_results(run_sweep(cfg), tmp_path / "capped")
     assert SerialPool.made == pools
@@ -148,6 +155,16 @@ def test_worker_count_capped_at_cpus_and_tasks(tmp_path, monkeypatch, requested,
                 == (tmp_path / "serial" / name).read_bytes())
     config = json.loads((tmp_path / "capped" / "config.json").read_text())
     assert config["worker_count"] == requested  # the echo keeps the request
+
+
+def test_worker_count_capped_at_cpu_count_without_affinity(monkeypatch):
+    import concurrent.futures
+    SerialPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_sweep(small_config(snapshots_per_point=3, worker_count="auto"))
+    assert SerialPool.made == [4]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -353,47 +370,64 @@ def test_records_sorted_by_scheme_then_point():
 @given(utilizations=st.lists(st.sampled_from(DEFAULT_UTILIZATIONS), min_size=1,
                              max_size=3, unique=True),
        schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, unique=True),
-       delta=st.integers(0, 3), seed=st.integers(0, 2**16), fail=st.booleans())
-def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed, fail):
-    # each row of the table, bit for bit, against the per-snapshot reference;
-    # with a failing power LP, every precoded evaluation is a failed row
-    def failing_lp(*args):
-        raise NumericalError("forced by test")
+       delta=st.integers(0, 3), seed=st.integers(0, 2**16),
+       snapshots=st.integers(1, 24), fail=st.sampled_from(["none", "always", "dummies"]))
+def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed,
+                                              snapshots, fail):
+    # each row of the table, bit for bit, against the per-snapshot reference,
+    # over sweeps of one or several chunks of one or several tasks; the power
+    # LP fails never, always (every precoded evaluation is a failed row) or
+    # only with dummy streams (failed and clean evaluations share a chunk)
+    original = harness.solve_power_lp
+
+    def failing_lp(w, p_b_max_w, k_dl):
+        if fail == "always" or (fail == "dummies" and w.shape[1] > k_dl):
+            raise NumericalError("forced by test")
+        return original(w, p_b_max_w, k_dl)
 
     cfg = small_config(utilizations=tuple(utilizations), schemes=tuple(schemes),
-                       delta=delta, snapshots_per_point=2, master_seed=seed)
-    with mock.patch.object(harness, "solve_power_lp",
-                           failing_lp if fail else harness.solve_power_lp), \
+                       delta=delta, snapshots_per_point=snapshots, master_seed=seed)
+    with mock.patch.object(harness, "solve_power_lp", failing_lp), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the failure-rate warning
         records = run_sweep(cfg).records
         topology = build_grid(cfg.n_bs, cfg.area_side)
         reference = {(u, s): realize_point(cfg, topology, u_idx, s)
-                     for u_idx, u in enumerate(cfg.utilizations) for s in range(2)}
+                     for u_idx, u in enumerate(cfg.utilizations) for s in range(snapshots)}
         evaluations = {key: evaluate_snapshot(snap, chan, cfg.radio, cfg.schemes, delta)
                        for key, (snap, chan) in reference.items()}
     assert len(records) == len(reference) * len(schemes)
-    assert any(r.failed for r in records) == (fail and schemes != ["baseline"])
     for r in records:
         snap, _ = reference[r.utilization, r.snapshot]
         v, m = evaluations[r.utilization, r.snapshot][r.scheme]
         assert (r.delta, r.k_dl, r.k_ul, r.v_ul) == (delta, snap.k_dl, snap.k_ul, v)
         rates = np.array([r.dl_sum_rate_bps, r.ul_sum_rate_bps, r.sum_rate_bps])
-        assert r.failed == (m is None)
+        assert r.failed == (m is None) == {
+            "none": False, "always": r.scheme != "baseline",
+            "dummies": r.scheme == "jt_ds" and r.v_ul > 0}[fail]
         if m is None:
-            assert fail and np.isnan(rates).all()
+            assert np.isnan(rates).all()
         else:
             want = np.array([m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps])
             assert rates.tobytes() == want.tobytes()
 
 
 def test_schemes_share_per_snapshot_work(monkeypatch):
-    calls = Counter()
-    for name in ("baseline_sinrs", "build_precoder"):
-        def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
+    # counted where the benchmark's trace wraps them (sweepbench/spans.py),
+    # whose per-call counters read one 2-D M per zf_precoder call
+    calls, m_ndims = Counter(), set()
+    for module, name in [(snapshot_module, "drop_ues"), (harness, "generate_snapshot"),
+                         (harness, "build_channel_realization"),
+                         (harness, "baseline_sinrs"), (harness, "build_precoder"),
+                         (precoding, "assemble_m"), (precoding, "zf_precoder"),
+                         (harness, "solve_power_lp"), (harness, "jt_sinrs"),
+                         (harness, "snapshot_metrics")]:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
+            if _name == "zf_precoder":
+                m_ndims.add(np.ndim(args[0]))
             return _original(*args, **kwargs)
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     res = run_sweep(small_config(utilizations=(0.5, 1.0), snapshots_per_point=10))
     # baseline SINRs once per snapshot; a precoder for JT, and for JT-DS only
     # when it has dummy streams (none at full load), else JT's result is reused
@@ -401,6 +435,13 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     assert calls["baseline_sinrs"] == 20
     assert calls["build_precoder"] == 20 + len(with_dummies)
     assert 0 < len(with_dummies) <= 10
+    for name in ("drop_ues", "generate_snapshot", "build_channel_realization"):
+        assert calls[name] == 20
+    for name in ("assemble_m", "zf_precoder", "solve_power_lp", "jt_sinrs"):
+        assert calls[name] == calls["build_precoder"]
+    # one per distinct key: the baseline's, JT's and JT-DS's when it has dummies
+    assert calls["snapshot_metrics"] == 20 + calls["build_precoder"]
+    assert m_ndims == {2}
 
 
 def bits(m):
