@@ -8,6 +8,7 @@ reciprocity is assumed.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def path_loss_db(distance_m, freq_ghz: float):
     """
     if freq_ghz <= 0:
         raise ConfigurationError("freq_ghz must be positive")
-    d = np.clip(np.asarray(distance_m, dtype=float), D_MIN_M, D_MAX_M)
+    d = np.minimum(np.maximum(np.asarray(distance_m, dtype=float), D_MIN_M), D_MAX_M)
     pl = 18.7 * np.log10(d) + 46.8 + 20.0 * np.log10(freq_ghz / 5.0)
     return pl if pl.ndim else float(pl)
 
@@ -83,6 +84,11 @@ def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
     return float(10.0 ** ((dbm - 30.0) / 10.0))
 
 
+def _fading(pl: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """sqrt(10^(-PL/10)) * z per entry, z = (re + j im) / sqrt(2) ~ CN(0, 1)."""
+    return np.sqrt(10.0 ** (pl / -10.0)) * ((re + 1j * im) / math.sqrt(2.0))
+
+
 def draw_channel(path_loss, rng: np.random.Generator):
     """Complex gain(s) sqrt(10^(-PL/10)) * z, z ~ CN(0, 1).
 
@@ -93,7 +99,7 @@ def draw_channel(path_loss, rng: np.random.Generator):
     """
     pl = np.asarray(path_loss, dtype=float)
     re, im = rng.standard_normal((2, *pl.shape))
-    out = np.sqrt(10.0 ** (pl / -10.0)) * ((re + 1j * im) / math.sqrt(2.0))
+    out = _fading(pl, re, im)
     return out if out.ndim else complex(out)
 
 
@@ -101,21 +107,31 @@ def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
                               rng: np.random.Generator) -> ChannelRealization:
     """Draw all four coefficient matrices for one snapshot.
 
-    One path-loss table covers every pair of nodes (UEs, then BSs). Each
-    matrix gathers its dB entries from it and calls draw_channel on them,
-    in a fixed order: h_dl, f_bs, g_ue, h_ul. A given (snapshot, stream
-    state) pair therefore always produces the identical realization. The
-    four matrices cover disjoint (tx, rx) pair types, so every physical pair
-    is drawn exactly once.
+    One distance table covers every pair of nodes (UEs, then BSs). Each
+    matrix gathers its entries from it, in a fixed order: h_dl, f_bs, g_ue,
+    h_ul. One path-loss evaluation and one normal draw cover all four, the
+    normals laid out as draw_channel on each matrix in that order would
+    draw them: per matrix, its real parts, then its imaginary parts. A
+    given (snapshot, stream state) pair therefore always produces the
+    identical realization. The four matrices cover disjoint (tx, rx) pair
+    types, so every physical pair is drawn exactly once.
     """
     k = snapshot.k
     nodes = np.concatenate([snapshot.ue_placement.positions, topology.bs_positions])
-    pl = path_loss_db(pairwise_distances(nodes, nodes), params.carrier_freq_ghz)
+    d = pairwise_distances(nodes, nodes)
     dl_bs, ul_bs = k + snapshot.n_dl, k + snapshot.ul_bs
-    blocks = ((snapshot.dl_ues, dl_bs),            # h_dl
-              (ul_bs, dl_bs),                      # f_bs
-              (snapshot.dl_ues, snapshot.ul_ues),  # g_ue
-              (snapshot.ul_ues, ul_bs))            # h_ul
-    h_dl, f_bs, g_ue, h_ul = (draw_channel(pl[rows[:, None], cols], rng)
-                              for rows, cols in blocks)
+    blocks = [d[rows[:, None], cols]
+              for rows, cols in ((snapshot.dl_ues, dl_bs),            # h_dl
+                                 (ul_bs, dl_bs),                      # f_bs
+                                 (snapshot.dl_ues, snapshot.ul_ues),  # g_ue
+                                 (snapshot.ul_ues, ul_bs))]           # h_ul
+    bounds = list(accumulate((b.size for b in blocks), initial=0))
+    ranges = list(zip(bounds, bounds[1:]))
+    normals = rng.standard_normal(2 * bounds[-1])
+    re, im = np.concatenate([normals[2 * lo:2 * hi].reshape(2, -1) for lo, hi in ranges],
+                            axis=1)
+    pl = path_loss_db(np.concatenate(blocks, axis=None), params.carrier_freq_ghz)
+    gains = _fading(pl, re, im)
+    h_dl, f_bs, g_ue, h_ul = (gains[lo:hi].reshape(b.shape)
+                              for (lo, hi), b in zip(ranges, blocks))
     return ChannelRealization(h_dl=h_dl, f_bs=f_bs, g_ue=g_ue, h_ul=h_ul)

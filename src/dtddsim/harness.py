@@ -110,7 +110,7 @@ RECORD_DTYPE = np.dtype([
     ("v_ul", np.int64), ("dl_sum_rate_bps", np.float64), ("ul_sum_rate_bps", np.float64),
     ("sum_rate_bps", np.float64), ("failed", np.bool_)])
 CSV_HEADER = ",".join(RECORD_DTYPE.names)
-_CSV_ROW = ",".join({"f": "{:.12g}", "b": "{:d}"}.get(RECORD_DTYPE[name].kind, "{}")
+_CSV_ROW = ",".join({"f": "%.12g", "b": "%d"}.get(RECORD_DTYPE[name].kind, "%s")
                     for name in RECORD_DTYPE.names)
 
 
@@ -299,7 +299,7 @@ def write_results(result: RunResult, out_dir) -> dict:
     paths = {name: os.path.join(out_dir, name)
              for name in ("records.csv", "summary.json", "config.json")}
 
-    lines = [CSV_HEADER] + [_CSV_ROW.format(*row) for row in result.records.tolist()]
+    lines = [CSV_HEADER] + [_CSV_ROW % row for row in result.records.tolist()]
     with open(paths["records.csv"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -33,6 +33,12 @@ class SweepPointSummary:
     fifth_percentile_user_rate_bps: float  # 5th pct of sum-rate / traffic load K
 
 
+def _zero_diagonal(a: np.ndarray) -> None:
+    """np.fill_diagonal(a, 0.0) through a strided view of a C-contiguous a."""
+    cols = a.shape[1]
+    a.reshape(-1)[:cols * cols:cols + 1] = 0.0
+
+
 def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
              w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Per-UE SINRs (UE drop order) with the downlink array sending streams W at powers p.
@@ -57,13 +63,13 @@ def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
 
     rx = np.abs(np.conj(channel.h_dl) @ w) ** 2 * p  # [K_dl, K_dl + V_ul]
     desired = rx.diagonal().copy()
-    np.fill_diagonal(rx, 0.0)
+    _zero_diagonal(rx)
     ue_to_ue = (np.abs(channel.g_ue) ** 2).sum(axis=1) * p_u
     sinrs[snapshot.dl_ues] = desired / (noise_w + rx.sum(axis=1) + ue_to_ue)
 
     gains = np.abs(channel.h_ul) ** 2  # [K_ul, N_ul]
     desired = gains.diagonal() * p_u
-    np.fill_diagonal(gains, 0.0)
+    _zero_diagonal(gains)
     bs_leak = np.abs(np.conj(channel.f_bs) @ w) ** 2 @ p
     sinrs[snapshot.ul_ues] = desired / (noise_w + gains.sum(axis=0) * p_u + bs_leak)
     return sinrs
@@ -83,7 +89,7 @@ def baseline_sinrs(snapshot, channel: ChannelRealization,
     """
     serving = snapshot.ue_placement.serving_bs[snapshot.dl_ues]
     w = np.zeros((snapshot.n_dl_count, snapshot.k_dl))
-    w[np.searchsorted(snapshot.n_dl, serving), np.arange(snapshot.k_dl)] = 1.0
+    w[snapshot.n_dl.searchsorted(serving), np.arange(snapshot.k_dl)] = 1.0
     return jt_sinrs(snapshot, channel, params, w, np.full(snapshot.k_dl, params.p_b_max_w))
 
 

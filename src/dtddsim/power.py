@@ -7,44 +7,56 @@ streams pinned at zero. Instances are tiny (at most N variables and N
 constraints), so the LP is solved by an in-repo dense simplex.
 """
 
+import math
+
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericalError
 
 
-def _simplex_max(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+def _simplex_max(c, a: np.ndarray, b, tol: float = 1e-11) -> np.ndarray:
     """Maximize c @ x s.t. a @ x <= b, x >= 0, where b >= 0.
+
+    c and b are arrays, or scalars that stand for arrays of that value.
 
     Dense tableau simplex starting from the slack basis (the origin is
     feasible). Bland's rule on both the entering and leaving choice, so the
     method cannot cycle. Raises NumericalError if the LP is unbounded, if
-    rounding leaves no row in the ratio test, or if the pivots run out.
+    rounding leaves no row in the ratio test (a NaN ratio included), or if
+    the pivots run out.
+
+    The pivot choice reads the reduced row, the entering column and the
+    right-hand side as Python floats, which costs less than numpy calls on
+    rows of at most 32 entries; the elimination stays one numpy update.
     """
     m, n = a.shape
     t = np.zeros((m + 1, n + m + 1))
     t[:m, :n] = a
-    t[:m, n:n + m] = np.eye(m)
+    t.reshape(-1)[n:n + m * (n + m + 2):n + m + 2] = 1.0  # the slack identity
     t[:m, -1] = b
     t[m, :n] = c
-    basis = np.arange(n, n + m)
-    reduced, rhs = t[m, :n + m], t[:m, -1]
+    basis = list(range(n, n + m))
     for _ in range(200 * (n + m + 1)):
-        entering = np.argmax(reduced > tol)  # first improving column
-        if not reduced[entering] > tol:
+        for entering, r in enumerate(t[m, :n + m].tolist()):
+            if r > tol:  # first improving column
+                break
+        else:
             x = np.zeros(n + m)
-            x[basis] = rhs
+            x[basis] = t[:m, -1]
             return x[:n]
-        col = t[:m, entering]
-        rows = (col > tol).nonzero()[0]
-        if not rows.size:
+        col = t[:m, entering].tolist()
+        rhs = t[:m, -1].tolist()
+        rows = [i for i, v in enumerate(col) if v > tol]
+        if not rows:
             raise NumericalError("LP is unbounded")
-        ratios = rhs[rows] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + tol * (1.0 + best)]
-        if not ties.size:  # best < -1: rounding left a right-hand side negative
+        ratios = [rhs[i] / col[i] for i in rows]
+        # a NaN ratio leaves no row within reach of the minimum
+        best = math.nan if any(map(math.isnan, ratios)) else min(ratios)
+        ties = [i for i, r in zip(rows, ratios) if r <= best + tol * (1.0 + best)]
+        if not ties:  # best < -1: rounding left a right-hand side negative
             raise NumericalError("simplex lost primal feasibility to rounding")
-        leaving = ties[basis[ties].argmin()]
-        t[leaving] /= t[leaving, entering]
+        leaving = min(ties, key=basis.__getitem__)
+        t[leaving] /= col[leaving]
         # eliminate the entering column from every other row: the same
         # products and differences as row by row, and rows whose factor is
         # zero lose 0 * t[leaving], which is no change but a zero's sign
@@ -63,7 +75,7 @@ def _antenna_gains(w: np.ndarray, k_dl: int) -> np.ndarray:
     if k_dl > w.shape[1]:
         raise ConfigurationError("k_dl exceeds the number of precoder columns")
     a = np.abs(w[:, :k_dl]) ** 2
-    if np.any(a.max(axis=0) <= 1e-30):
+    if (a.max(axis=0) <= 1e-30).any():
         raise ConfigurationError("all-zero precoder column (violates unit-norm precondition)")
     return a
 
@@ -76,8 +88,7 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> np.ndarray:
     the optimal objective value is unique even when the optimizer is not.
     """
     a = _antenna_gains(w, k_dl)
-    b = np.full(a.shape[0], float(p_b))
-    x = _simplex_max(np.ones(k_dl), a, b)
+    x = _simplex_max(1.0, a, float(p_b))
     p = np.zeros(w.shape[1])
     p[:k_dl] = np.maximum(x, 0.0)
     return p

@@ -42,7 +42,7 @@ def select_uplink_bs(ul_sinrs, v_ul: int) -> np.ndarray:
     """
     if not 0 <= v_ul <= len(ul_sinrs):
         raise ConfigurationError(f"cannot select {v_ul} of {len(ul_sinrs)} uplink BSs")
-    return np.argsort(ul_sinrs, kind="stable")[:v_ul]
+    return np.asarray(ul_sinrs).argsort(kind="stable")[:v_ul]
 
 
 def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
@@ -60,7 +60,7 @@ def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
         raise ConfigurationError(
             f"{k_dl} downlink UEs + {len(ul_rows)} uplink BSs exceed {n_dl} antennas"
         )
-    return np.conj(np.vstack([channel.h_dl, channel.f_bs[ul_rows]]))
+    return np.concatenate((channel.h_dl, channel.f_bs[ul_rows])).conj()
 
 
 def zf_precoder(m: np.ndarray):
@@ -87,7 +87,8 @@ def zf_precoder(m: np.ndarray):
             f"compound channel matrix is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
         )
     w_raw = vh.conj().T @ (u.conj().T / s[:, None])
-    return w_raw / np.linalg.norm(w_raw, axis=0)
+    # the column norms as np.linalg.norm(w_raw, axis=0) takes them
+    return w_raw / np.sqrt(np.add.reduce((w_raw.conj() * w_raw).real, axis=0))
 
 
 def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,

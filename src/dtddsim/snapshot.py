@@ -1,11 +1,16 @@
 """One traffic realization: active UEs, their directions, and the BS partition."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigurationError, check_field_types
 from .topology import Topology, UePlacement, drop_ues
+
+# least probability of a mixed direction draw that require_mixed_traffic
+# accepts: about a million redraws per snapshot at worst
+MIXED_DRAW_FLOOR = 1e-6
 
 
 @dataclass
@@ -51,12 +56,12 @@ class Snapshot:
         serving = self.ue_placement.serving_bs
         if len(serving) and (serving.min() < 0 or serving.max() >= self.n_bs):
             raise ConfigurationError("serving BS index out of range")
-        self.dl_ues = np.flatnonzero(self.is_downlink)
-        self.ul_ues = np.flatnonzero(~self.is_downlink)
+        self.dl_ues = self.is_downlink.nonzero()[0]
+        self.ul_ues = (~self.is_downlink).nonzero()[0]
         self.ul_bs = serving[self.ul_ues]
-        is_dl_bs = np.ones(self.n_bs, dtype=bool)
-        is_dl_bs[self.ul_bs] = False
-        self.n_dl = np.flatnonzero(is_dl_bs)
+        is_ul_bs = np.zeros(self.n_bs, dtype=bool)
+        is_ul_bs[self.ul_bs] = True
+        self.n_dl = (~is_ul_bs).nonzero()[0]
 
     @property
     def k(self) -> int:
@@ -83,13 +88,14 @@ def traffic_load(utilization: float, n_bs: int, traffic: TrafficConfig) -> int:
     """Active UE count K = round(utilization * N), rounding half-up.
 
     Raises ConfigurationError when the utilization is outside (0, 1] (NaN
-    included) or K < 1, and under require_mixed_traffic when K < 2 or the
-    direction draw is degenerate, since no snapshot of such a sweep point
-    could be drawn.
+    included) or K < 1, and under require_mixed_traffic when K < 2 or a
+    direction draw is mixed with probability 1 - p^K - (1 - p)^K below
+    MIXED_DRAW_FLOOR, since no snapshot of such a sweep point could be
+    drawn, or none in reasonable time.
     """
     if not 0.0 < utilization <= 1.0:
         raise ConfigurationError(f"utilization {utilization} must be in (0, 1]")
-    k = int(np.floor(utilization * n_bs + 0.5))
+    k = math.floor(utilization * n_bs + 0.5)
     if k < 1:
         raise ConfigurationError(
             f"utilization {utilization} with {n_bs} BSs yields no active UE"
@@ -97,10 +103,12 @@ def traffic_load(utilization: float, n_bs: int, traffic: TrafficConfig) -> int:
     if traffic.require_mixed_traffic:
         if k < 2:
             raise ConfigurationError("mixed traffic is impossible with a single UE")
-        if traffic.dl_probability in (0.0, 1.0):
+        p = traffic.dl_probability
+        if 1.0 - p ** k - (1.0 - p) ** k < MIXED_DRAW_FLOOR:
             raise ConfigurationError(
-                "mixed traffic is impossible with a degenerate dl_probability"
-            )
+                f"mixed traffic is impossible or too rare with dl_probability {p} "
+                f"and {k} UEs: a direction draw is mixed with probability below "
+                f"{MIXED_DRAW_FLOOR:g}")
     return k
 
 

@@ -72,7 +72,7 @@ class UePlacement:
         self.serving_bs = np.asarray(self.serving_bs, dtype=int)
         if len(self.serving_bs) != len(self.positions):
             raise ConfigurationError("positions and serving_bs length mismatch")
-        if len(np.unique(self.serving_bs)) != len(self.serving_bs):
+        if len(set(self.serving_bs.tolist())) != len(self.serving_bs):
             raise ConfigurationError("serving BSs must be distinct (<= 1 UE per BS)")
 
     def __len__(self) -> int:
@@ -109,7 +109,8 @@ def drop_ues(topology: Topology, k: int, rng: np.random.Generator) -> UePlacemen
     serving, picked, drawn = [], [], 0
     while len(serving) < k:
         block = rng.uniform(0.0, topology.area_side, size=(4 * topology.n_bs, 2))
-        d = np.clip(pairwise_distances(block, topology.bs_positions), D_MIN_M, D_MAX_M)
+        d = np.minimum(np.maximum(pairwise_distances(block, topology.bs_positions), D_MIN_M),
+                       D_MAX_M)
         for c, bs in enumerate(d.argmin(axis=1).tolist(), start=drawn):
             if bs not in serving:
                 serving.append(bs)

@@ -3,9 +3,9 @@
 Each is the straightforward form of a computation the package does in a
 faster, array-shaped way: the per-matrix channel draw, the per-UE SINR
 loops with the baseline's per-node powers, the one-at-a-time UE drop, the
-row-by-row simplex, and two desk-scale power-allocation oracles (exact
-vertex enumeration for the LP and the concave log-sum objective it
-relaxes).
+row-by-row simplex and the simplex that picks its pivots with numpy calls,
+and two desk-scale power-allocation oracles (exact vertex enumeration for
+the LP and the concave log-sum objective it relaxes).
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
-from dtddsim import ChannelRealization, ConfigurationError, UePlacement, path_loss_db
+from dtddsim import (ChannelRealization, ConfigurationError, NumericalError, UePlacement,
+                     path_loss_db)
 from dtddsim.power import _antenna_gains, solve_power_lp
 from dtddsim.topology import pairwise_distances
 
@@ -252,6 +253,45 @@ def simplex_max(c, a, b, tol=1e-11):
                 t[r] -= t[r, entering] * t[leaving]
         basis[leaving] = entering
     raise RuntimeError("simplex failed to converge")
+
+
+def vectorised_simplex_max(c, a, b, tol=1e-11):
+    """simplex_max with numpy calls for the pivot choice as well.
+
+    The package's simplex picks its pivots on Python floats; this is the
+    numpy form it replaced, which must give the same bytes or raise
+    NumericalError with the same message, non-finite entries included.
+    """
+    m, n = a.shape
+    t = np.zeros((m + 1, n + m + 1))
+    t[:m, :n] = a
+    t[:m, n:n + m] = np.eye(m)
+    t[:m, -1] = b
+    t[m, :n] = c
+    basis = np.arange(n, n + m)
+    reduced, rhs = t[m, :n + m], t[:m, -1]
+    for _ in range(200 * (n + m + 1)):
+        entering = np.argmax(reduced > tol)  # first improving column
+        if not reduced[entering] > tol:
+            x = np.zeros(n + m)
+            x[basis] = rhs
+            return x[:n]
+        col = t[:m, entering]
+        rows = (col > tol).nonzero()[0]
+        if not rows.size:
+            raise NumericalError("LP is unbounded")
+        ratios = rhs[rows] / col[rows]
+        best = ratios.min()  # NaN if any ratio is
+        ties = rows[ratios <= best + tol * (1.0 + best)]
+        if not ties.size:
+            raise NumericalError("simplex lost primal feasibility to rounding")
+        leaving = ties[basis[ties].argmin()]
+        t[leaving] /= t[leaving, entering]
+        factor = t[:, entering].copy()
+        factor[leaving] = 0.0
+        t -= factor[:, None] * t[leaving]
+        basis[leaving] = entering
+    raise NumericalError("simplex failed to converge")
 
 
 def power_lp_oracle(w, p_b, k_dl):

@@ -198,6 +198,23 @@ def test_main_rejects_bad_utilization_before_sweeping(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dl_probability", [0.0, 1.0, 1e-300, 1 - 2**-53])
+def test_main_rejects_unmixable_dl_probability_before_sweeping(tmp_path, capsys, monkeypatch,
+                                                                dl_probability):
+    # under the default require_mixed_traffic the direction redraw of the
+    # last two would practically never end
+    path = write_config(tmp_path / "cfg.json",
+                        traffic={"dl_probability": dl_probability})
+    drawn = []
+    monkeypatch.setattr(harness, "generate_snapshot", lambda *args: drawn.append(args))
+    rc = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dl_probability" in err
+    assert drawn == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--out", "taken"],     # --out names a regular file
     ["--config", "."],      # --config names a directory

@@ -184,6 +184,11 @@ def test_empty_result_writes_header_only(tmp_path):
 
 def test_csv_round_trips_12_digits(tmp_path):
     res = run_sweep(small_config(snapshots_per_point=3))
+    # rows no sweep of this config makes: a failed one, inf, -inf and -0.0
+    odd = np.array([("jt", 0.5, 0, 0, 1, 1, 0, math.nan, math.nan, math.nan, True),
+                    ("jt_ds", 1 / 3, 2, 7, 2, 3, 1, math.inf, -math.inf, -0.0, False)],
+                   dtype=RECORD_DTYPE)
+    res.records = np.concatenate([res.records, odd]).view(np.recarray)
     write_results(res, tmp_path)
     lines = (tmp_path / "records.csv").read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -193,6 +198,12 @@ def test_csv_round_trips_12_digits(tmp_path):
     assert fields[0] == rec.scheme
     assert math.isclose(float(fields[9]), rec.sum_rate_bps, rel_tol=1e-11)
     assert fields[10] == "0"
+    assert lines[-2:] == ["jt,0.5,0,0,1,1,0,nan,nan,nan,1",
+                          "jt_ds,0.333333333333,2,7,2,3,1,inf,-inf,-0,0"]
+    # every row as str.format with the same cell formats writes it
+    cell = {"f": "{:.12g}", "b": "{:d}"}
+    template = ",".join(cell.get(RECORD_DTYPE[name].kind, "{}") for name in RECORD_DTYPE.names)
+    assert lines[1:] == [template.format(*row) for row in res.records.tolist()]
 
 
 def test_summary_covers_every_sweep_point(tmp_path):

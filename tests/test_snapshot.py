@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dtddsim import ConfigurationError, TrafficConfig, build_grid, generate_snapshot
+from dtddsim import (ConfigurationError, SimulationConfig, TrafficConfig, build_grid,
+                     generate_snapshot)
 from dtddsim.snapshot import traffic_load
 
 from conftest import random_scene
@@ -60,6 +61,17 @@ def test_mixed_traffic_impossible_cases_rejected():
         generate_snapshot(topo, 0.5, TrafficConfig(dl_probability=1.0,
                                                    require_mixed_traffic=True),
                           np.random.default_rng(0))
+    # valid probabilities whose mixed draw is all but impossible: the
+    # direction redraw would practically never end
+    for dl_probability in (1e-300, 1 - 2**-53):
+        traffic = TrafficConfig(dl_probability=dl_probability)
+        for utilization in (0.125, 1.0):
+            with pytest.raises(ConfigurationError, match="1e-06"):
+                traffic_load(utilization, 16, traffic)
+        with pytest.raises(ConfigurationError, match="dl_probability"):
+            SimulationConfig(traffic=traffic)
+    # 1 - p^2 - (1 - p)^2 = 2e-4 - 2e-8 at K = 2 is rare but drawable
+    assert traffic_load(0.125, 16, TrafficConfig(dl_probability=1e-4)) == 2
 
 
 def test_k_rounds_half_up():
