@@ -49,10 +49,16 @@ class Topology:
                 f"grid deployment needs a perfect-square BS count n_bs, got {self.n_bs}")
         if not 0.0 < self.area_side < math.inf:
             raise ConfigurationError("area_side must be positive and finite")
-        self.spacing = self.area_side / side
-        idx = np.arange(self.n_bs)
-        self.bs_positions = np.column_stack([(idx % side + 0.5) * self.spacing,
-                                             (idx // side + 0.5) * self.spacing])
+        # past numpy's size limit arange raises ValueError, past a float's
+        # range the division raises OverflowError
+        try:
+            self.spacing = self.area_side / side
+            idx = np.arange(self.n_bs)
+            self.bs_positions = np.column_stack([(idx % side + 0.5) * self.spacing,
+                                                 (idx // side + 0.5) * self.spacing])
+        except (MemoryError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(
+                f"n_bs is too large: its BS grid cannot be allocated ({exc})") from None
 
 
 @dataclass

@@ -84,17 +84,20 @@ def test_c02_lp_matches_enumeration_oracle():
     for _ in range(500):
         k_dl = int(rng.integers(1, 4))
         n_dl = int(rng.integers(k_dl, 7))
-        w = unit_columns(rng, n_dl, k_dl)
+        # JT-DS's dummy streams take columns but no power
+        dummies = int(rng.integers(0, min(3, n_dl - k_dl) + 1))
+        w = unit_columns(rng, n_dl, k_dl + dummies)
         got = solve_power_lp(w, 0.1, k_dl)
         want = power_lp_oracle(w, 0.1, k_dl)
         gap = abs(got.sum() - want.sum()) / max(want.sum(), 1e-30)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-6
         assert np.all(np.abs(w) ** 2 @ got <= 0.1 + 1e-9)
+        assert np.all(got[k_dl:] == 0.0) and np.all(want[k_dl:] == 0.0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"\nPASS criterion 2: LP within 1e-6 of the vertex oracle on 500 "
-          f"instances (worst gap {worst_gap:.2e}, {elapsed:.1f}s)")
+          f"instances, dummy streams at 0 W (worst gap {worst_gap:.2e}, {elapsed:.1f}s)")
 
 
 def assert_identical_scheme_records(records):
@@ -203,16 +206,17 @@ def test_c08_noise_power_value():
 
 
 def test_c09_worker_count_determinism(tmp_path):
+    # 100 tasks: chunks of 12 on one worker, of several tasks in the pool too
     base = dict(utilizations=(0.25, 0.75), snapshots_per_point=50,
                 master_seed=SEED)
     write_results(run_sweep(SimulationConfig(worker_count=1, **base)),
                   tmp_path / "w1")
     write_results(run_sweep(SimulationConfig(worker_count=4, **base)),
                   tmp_path / "w4")
-    a = (tmp_path / "w1" / "records.csv").read_bytes()
-    b = (tmp_path / "w4" / "records.csv").read_bytes()
-    assert a == b
-    print("\nPASS criterion 9: records.csv byte-identical for 1 vs 4 workers")
+    for name in ("records.csv", "summary.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+    print("\nPASS criterion 9: records.csv and summary.json byte-identical for "
+          "1 vs 4 workers")
 
 
 def test_c10_statistical_sanity():

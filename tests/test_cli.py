@@ -169,6 +169,21 @@ def test_main_rejects_bs_spacing_inside_path_loss_clamp(tmp_path, capsys):
         assert err.startswith("error: ") and "spacing" in err
 
 
+@pytest.mark.parametrize("n_bs, area_side", [(10**14, 1e8), (10**200, 1e101),
+                                              (10**700, 1e101)],
+                         ids=["1e14", "1e200", "1e700"])
+def test_main_rejects_grid_too_large_to_allocate(tmp_path, capsys, n_bs, area_side):
+    # numpy cannot hold the BS positions: a MemoryError, then a ValueError
+    # past its size limit, each before any memory is taken; past a float's
+    # range the grid side overflows first
+    path = write_config(tmp_path / "cfg.json", n_bs=n_bs, area_side=area_side)
+    with mock.patch.object(harness, "generate_snapshot", side_effect=AssertionError):
+        rc = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_bs" in err
+
+
 @pytest.mark.parametrize("overrides, argv", [
     ({"master_seed": -3}, []),
     ({}, ["--seed", "-1"]),

@@ -55,49 +55,6 @@ def test_derive_stream_diverges_across_seeds():
             assert not np.array_equal(a, b)
 
 
-def test_record_count_invariant():
-    cfg = small_config(snapshots_per_point=1, utilizations=(0.5, 1.0))
-    res = run_sweep(cfg)
-    assert len(res.records) == 3 * 2 * 1
-    cfg2 = small_config(schemes=("jt",), snapshots_per_point=4, utilizations=(0.5,))
-    assert len(run_sweep(cfg2).records) == 4
-
-
-def test_full_utilization_jt_equals_jt_ds():
-    cfg = small_config(schemes=("jt", "jt_ds"), utilizations=(1.0,),
-                       snapshots_per_point=100)
-    res = run_sweep(cfg)
-    jt = [r for r in res.records if r.scheme == "jt"]
-    jt_ds = [r for r in res.records if r.scheme == "jt_ds"]
-    for a, b in zip(jt, jt_ds):
-        assert a.snapshot == b.snapshot
-        assert a.sum_rate_bps == b.sum_rate_bps
-        assert a.dl_sum_rate_bps == b.dl_sum_rate_bps
-        assert a.ul_sum_rate_bps == b.ul_sum_rate_bps
-        assert b.v_ul == 0
-
-
-def test_schemes_share_snapshot_realizations():
-    res = run_sweep(small_config())
-    by_point = {}
-    for r in res.records:
-        by_point.setdefault((r.utilization, r.snapshot), []).append(r)
-    for point in by_point.values():
-        assert len(point) == 3
-        assert len({r.k_dl for r in point}) == 1
-        assert len({r.k_ul for r in point}) == 1
-
-
-def test_realize_point_is_pure():
-    cfg = small_config()
-    topology = build_grid(cfg.n_bs, cfg.area_side)
-    s1, c1 = realize_point(cfg, topology, 1, 3)
-    s2, c2 = realize_point(cfg, topology, 1, 3)
-    np.testing.assert_array_equal(s1.ue_placement.positions, s2.ue_placement.positions)
-    np.testing.assert_array_equal(c1.h_dl, c2.h_dl)
-    np.testing.assert_array_equal(c1.f_bs, c2.f_bs)
-
-
 def test_worker_count_does_not_change_output(tmp_path):
     # 80 tasks: chunks of several tasks both on one worker and in the pool
     cfg1 = small_config(snapshots_per_point=40, worker_count=1)
@@ -165,14 +122,6 @@ def test_worker_count_capped_at_cpu_count_without_affinity(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     run_sweep(small_config(snapshots_per_point=3, worker_count="auto"))
     assert SerialPool.made == [4]
-
-
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = small_config(snapshots_per_point=8)
-    write_results(run_sweep(cfg), tmp_path / "a")
-    write_results(run_sweep(cfg), tmp_path / "b")
-    for name in ("records.csv", "summary.json", "config.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_empty_result_writes_header_only(tmp_path):
@@ -425,8 +374,9 @@ def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed
 
 def test_schemes_share_per_snapshot_work(monkeypatch):
     # counted where the benchmark's trace wraps them (sweepbench/spans.py),
-    # whose per-call counters read one 2-D M per zf_precoder call
-    calls, m_ndims = Counter(), set()
+    # whose per-call counters read one 2-D M per zf_precoder call, the three
+    # positional arguments of solve_power_lp and the len of drop_ues's result
+    calls, shapes = Counter(), set()
     for module, name in [(snapshot_module, "drop_ues"), (harness, "generate_snapshot"),
                          (harness, "build_channel_realization"),
                          (harness, "baseline_sinrs"), (harness, "build_precoder"),
@@ -435,9 +385,14 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
                          (harness, "snapshot_metrics")]:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
+            result = _original(*args, **kwargs)
             if _name == "zf_precoder":
-                m_ndims.add(np.ndim(args[0]))
-            return _original(*args, **kwargs)
+                shapes.add((_name, np.ndim(args[0])))
+            elif _name == "solve_power_lp":
+                shapes.add((_name, len(args), tuple(kwargs)))
+            elif _name == "drop_ues":
+                shapes.add((_name, len(result)))
+            return result
         monkeypatch.setattr(module, name, counted)
     res = run_sweep(small_config(utilizations=(0.5, 1.0), snapshots_per_point=10))
     # baseline SINRs once per snapshot; a precoder for JT, and for JT-DS only
@@ -452,7 +407,9 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
         assert calls[name] == calls["build_precoder"]
     # one per distinct key: the baseline's, JT's and JT-DS's when it has dummies
     assert calls["snapshot_metrics"] == 20 + calls["build_precoder"]
-    assert m_ndims == {2}
+    # K = 8 UEs at u = 0.5 and 16 at u = 1.0
+    assert shapes == {("zf_precoder", 2), ("solve_power_lp", 3, ()),
+                      ("drop_ues", 8), ("drop_ues", 16)}
 
 
 def bits(m):

@@ -91,17 +91,6 @@ def test_zero_active_ues_rejected():
                           np.random.default_rng(0))
 
 
-def test_direction_split_is_balanced():
-    topo = build_grid(16, 40.0)
-    traffic = TrafficConfig(require_mixed_traffic=False)
-    total_dl = total = 0
-    for seed in range(2000):
-        snap = generate_snapshot(topo, 0.5, traffic, np.random.default_rng(seed))
-        total_dl += snap.k_dl
-        total += snap.k
-    assert 0.48 <= total_dl / total <= 0.52
-
-
 def test_mixed_filter_redraws_directions_only():
     # positions are drawn before directions, so enabling the filter can
     # never move a UE

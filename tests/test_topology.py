@@ -54,24 +54,6 @@ def test_full_load_is_permutation():
     assert sorted(placement.serving_bs.tolist()) == list(range(16))
 
 
-def test_same_seed_reproduces_placement():
-    topo = build_grid(16, 40.0)
-    a = drop_ues(topo, 4, np.random.default_rng(42))
-    b = drop_ues(topo, 4, np.random.default_rng(42))
-    np.testing.assert_array_equal(a.positions, b.positions)
-    np.testing.assert_array_equal(a.serving_bs, b.serving_bs)
-    assert len(set(a.serving_bs.tolist())) == 4
-
-
-def test_serving_bs_always_distinct():
-    topo = build_grid(16, 40.0)
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 17))
-        placement = drop_ues(topo, k, rng)
-        assert len(set(placement.serving_bs.tolist())) == k
-
-
 def test_association_is_strongest_bs_with_index_tiebreak():
     topo = build_grid(16, 40.0)
     for seed in range(20):
