@@ -17,13 +17,13 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .channel import RadioParams, build_channel_realization
+from .channel import ChannelRealization, RadioParams, build_channel_realization
 from .exceptions import ConfigurationError, NumericalError, check_field_types
-from .metrics import (SweepPointSummary, aggregate, baseline_sinrs, jt_sinrs,
-                      snapshot_metrics)
+from .metrics import (SnapshotMetrics, SweepPointSummary, aggregate, baseline_sinrs,
+                      jt_sinrs, snapshot_metrics)
 from .power import solve_power_lp
 from .precoding import build_precoder, v_ul, v_ul_max
-from .snapshot import TrafficConfig, generate_snapshot, traffic_load
+from .snapshot import SnapshotGroup, TrafficConfig, generate_snapshot, traffic_load
 from .topology import D_MAX_M, D_MIN_M, Topology, build_grid
 
 SCHEMES = ("baseline", "jt", "jt_ds")
@@ -35,8 +35,9 @@ DEFAULT_UTILIZATIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 FAILURE_RATE_WARN = 0.01
 
 # most snapshots a sweep realizes before it evaluates them layer by layer
-# (_evaluate_chunk); past a few dozen a larger chunk only holds more memory
-CHUNK = 32
+# (_evaluate_chunk); a larger chunk makes larger shape groups, but past a
+# few dozen it mostly holds more memory
+CHUNK = 64
 
 # the per-point statistics, in summary.json key order
 SUMMARY_STATS = tuple(f.name for f in dataclasses.fields(SweepPointSummary))
@@ -133,14 +134,26 @@ def derive_stream(master_seed: int, utilization_index: int,
     return np.random.default_rng(ss)
 
 
+def _realize(config: SimulationConfig, topology: Topology, tasks):
+    """The snapshots and channels of the (utilization, snapshot) tasks, in task order.
+
+    Each task draws from its own stream, first its snapshot, then its
+    channel; the chunk makes all streams, then all snapshots, then all
+    channels.
+    """
+    rngs = [derive_stream(config.master_seed, u_idx, s_idx) for u_idx, s_idx in tasks]
+    snaps = [generate_snapshot(topology, config.utilizations[u_idx], config.traffic, rng)
+             for (u_idx, _), rng in zip(tasks, rngs)]
+    chans = [build_channel_realization(snap, topology, config.radio, rng)
+             for snap, rng in zip(snaps, rngs)]
+    return snaps, chans
+
+
 def realize_point(config: SimulationConfig, topology: Topology,
                   utilization_index: int, snapshot_index: int):
     """Generate the shared (snapshot, channel) pair for one sweep task."""
-    rng = derive_stream(config.master_seed, utilization_index, snapshot_index)
-    snap = generate_snapshot(topology, config.utilizations[utilization_index],
-                             config.traffic, rng)
-    chan = build_channel_realization(snap, topology, config.radio, rng)
-    return snap, chan
+    snaps, chans = _realize(config, topology, [(utilization_index, snapshot_index)])
+    return snaps[0], chans[0]
 
 
 def _v_ul_key(scheme: str, snap, delta: int):
@@ -165,31 +178,73 @@ def _each(jobs: dict, step) -> dict:
     return out
 
 
-def _evaluate_chunk(pairs, params: RadioParams, schemes, delta: int) -> list:
+def _stack(cls, items):
+    """A cls whose every field stacks that attribute of the items on a leading axis."""
+    return cls(*(np.stack([getattr(item, f.name) for item in items])
+                 for f in dataclasses.fields(cls)))
+
+
+def _take(stacked, rows):
+    """A stacked SnapshotGroup or ChannelRealization at the given leading rows."""
+    return type(stacked)(*(getattr(stacked, f.name)[rows]
+                           for f in dataclasses.fields(stacked)))
+
+
+def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> list:
     """evaluate_snapshot on each (snapshot, channel) pair, one layer at a time.
 
-    Every layer runs across the whole chunk before the next starts: the
-    same per-snapshot calls as one snapshot after another, in a loop order
-    that keeps each layer's code and data warm. A job is one (snapshot,
-    V_ul key); a NumericalError drops it from the later layers.
+    Snapshots whose four channel blocks have the same shapes form a group:
+    with one UE per BS, those of one (K_dl, K_ul) pair. They share every
+    scheme's V_ul key, so each group makes one baseline_sinrs call, and per
+    key one jt_sinrs and one snapshot_metrics call over its stacked
+    snapshots. The precoder and the power LP run per job, one (snapshot,
+    V_ul key) at a time; a NumericalError there drops only its own job
+    from the stacked calls that follow. Every layer runs across the whole
+    chunk before the next starts.
     """
-    keys = [{scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
-            for snap, _ in pairs]
-    base = _each({i: None for i, k in enumerate(keys)
-                  if any(v is None or v > 0 for v in k.values())},
-                 lambda i, _: baseline_sinrs(*pairs[i], params))
-    # JT needs no baseline; a failed baseline fails the keys that select with it
-    jobs = {(i, v): base.get(i) for i, k in enumerate(keys) for v in k.values()
-            if v == 0 or (v is not None and i in base)}
-    ws = _each(jobs, lambda job, b: build_precoder(*pairs[job[0]], job[1], b)[0])
-    ps = _each(ws, lambda job, w: solve_power_lp(w, params.p_b_max_w,
-                                                 pairs[job[0]][0].k_dl))
-    sinrs = _each(ps, lambda job, p: jt_sinrs(*pairs[job[0]], params, ws[job], p))
-    sinrs.update(((i, None), b) for i, b in base.items() if None in keys[i].values())
-    metrics = _each(sinrs, lambda job, s: snapshot_metrics(pairs[job[0]][0], s,
-                                                           params.bandwidth_hz))
-    return [{scheme: (v or 0, metrics.get((i, v))) for scheme, v in k.items()}
-            for i, k in enumerate(keys)]
+    shapes = {}
+    for i, chan in enumerate(chans):
+        shapes.setdefault(chan.h_dl.shape + chan.h_ul.shape, []).append(i)
+    groups = []  # (members, {scheme: V_ul key}, SnapshotGroup, channels, baseline SINRs)
+    for members in shapes.values():
+        keys = {scheme: _v_ul_key(scheme, snaps[members[0]], delta) for scheme in schemes}
+        group = _stack(SnapshotGroup, [snaps[i] for i in members])
+        chan = _stack(ChannelRealization, [chans[i] for i in members])
+        # JT needs no baseline; the baseline scheme and JT-DS selection do
+        base = (baseline_sinrs(group, chan, params)
+                if any(v is None or v > 0 for v in keys.values()) else None)
+        groups.append((members, keys, group, chan, base))
+
+    jobs = {(i, v): base[row] if v else None
+            for members, keys, _, _, base in groups
+            for v in dict.fromkeys(keys.values()) if v is not None
+            for row, i in enumerate(members)}
+    ws = _each(jobs, lambda job, b: build_precoder(snaps[job[0]], chans[job[0]], job[1], b)[0])
+    ps = _each(ws, lambda job, w: solve_power_lp(w, params.p_b_max_w, snaps[job[0]].k_dl))
+
+    metrics = {}  # (snapshot index, V_ul key): SnapshotMetrics
+    for members, keys, group, chan, base in groups:
+        for v in dict.fromkeys(keys.values()):
+            if v is None:
+                rows, kept, sinrs = range(len(members)), group, base
+            else:
+                rows = [row for row, i in enumerate(members) if (i, v) in ps]
+                if not rows:
+                    continue
+                kept, kept_chan = ((group, chan) if len(rows) == len(members)
+                                   else (_take(group, rows), _take(chan, rows)))
+                sinrs = jt_sinrs(kept, kept_chan, params,
+                                 np.stack([ws[members[row], v] for row in rows]),
+                                 np.stack([ps[members[row], v] for row in rows]))
+            m = snapshot_metrics(kept, sinrs, params.bandwidth_hz)
+            for row, *fields in zip(rows, m.per_ue_sinr, m.dl_sum_rate_bps.tolist(),
+                                    m.ul_sum_rate_bps.tolist(), m.sum_rate_bps.tolist()):
+                metrics[members[row], v] = SnapshotMetrics(*fields)
+    out = [None] * len(snaps)
+    for members, keys, *_ in groups:
+        for i in members:
+            out[i] = {scheme: (v or 0, metrics.get((i, v))) for scheme, v in keys.items()}
+    return out
 
 
 def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
@@ -206,19 +261,19 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
              BSs, which join the precoder as zero-power rows, then power LP.
     Schemes with one key share one evaluation, so JT-DS at V_ul = 0 is JT.
     The baseline SINRs are computed at most once, and only if the baseline
-    or a JT-DS selection needs them. A NumericalError fails only its own
-    key, and a failed baseline also the JT-DS selection that reads it.
-    This is the sweep's evaluation of a chunk of one snapshot.
+    or a JT-DS selection needs them. A NumericalError of the precoder or
+    the power LP fails only its own key. This is the sweep's evaluation of
+    a chunk of one snapshot.
     """
-    return _evaluate_chunk([(snap, chan)], params, schemes, delta)[0]
+    return _evaluate_chunk([snap], [chan], params, schemes, delta)[0]
 
 
 def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarray:
     """RECORD_DTYPE rows of every configured scheme on each task, in task order."""
-    pairs = [realize_point(config, topology, u_idx, s_idx) for u_idx, s_idx in tasks]
-    evaluations = _evaluate_chunk(pairs, config.radio, config.schemes, config.delta)
+    snaps, chans = _realize(config, topology, tasks)
+    evaluations = _evaluate_chunk(snaps, chans, config.radio, config.schemes, config.delta)
     rows = []
-    for (u_idx, s_idx), (snap, _), evaluation in zip(tasks, pairs, evaluations):
+    for (u_idx, s_idx), snap, evaluation in zip(tasks, snaps, evaluations):
         for scheme, (v, m) in evaluation.items():
             rates = ((float("nan"),) * 3 if m is None
                      else (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))
@@ -250,7 +305,8 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     workers = min(cpus, len(tasks))
     if config.worker_count != "auto":
         workers = min(config.worker_count, workers)
-    chunk = max(1, min(CHUNK, len(tasks) // (workers * 8)))
+    # a pool balances its workers with at least 8 chunks each
+    chunk = CHUNK if workers == 1 else max(1, min(CHUNK, len(tasks) // (workers * 8)))
     chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
     if workers == 1:
         per_chunk = [_run_chunk(config, topology, c) for c in chunks]

@@ -15,7 +15,10 @@ from .exceptions import ConfigurationError
 
 @dataclass
 class SnapshotMetrics:
-    """Per-UE SINRs and per-snapshot rate sums for one evaluation."""
+    """Per-UE SINRs and per-snapshot rate sums for one evaluation.
+
+    For a SnapshotGroup every field gains the group's leading axis.
+    """
 
     per_ue_sinr: np.ndarray  # [K] linear scale, UE drop order
     dl_sum_rate_bps: float
@@ -34,15 +37,19 @@ class SweepPointSummary:
 
 
 def _zero_diagonal(a: np.ndarray) -> None:
-    """np.fill_diagonal(a, 0.0) through a strided view of a C-contiguous a."""
-    cols = a.shape[1]
-    a.reshape(-1)[:cols * cols:cols + 1] = 0.0
+    """np.fill_diagonal on each trailing matrix of a C-contiguous a, through a strided view."""
+    cols = a.shape[-1]
+    a.reshape(*a.shape[:-2], -1)[..., :cols * cols:cols + 1] = 0.0
 
 
 def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
              w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Per-UE SINRs (UE drop order) with the downlink array sending streams W at powers p.
 
+    snapshot is one Snapshot, or a SnapshotGroup whose leading axes the
+    channel blocks, W and p share; the SINRs then gain those axes. Every
+    product is a matmul, which takes each matrix of a stack through the
+    BLAS call of a one-matrix product; einsum would sum in another order.
     A downlink-free snapshot passes W with zero columns.
 
     Downlink UE i (row i of h_dl, column i of W):
@@ -59,19 +66,22 @@ def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
     away, since the desired power can be 10^7 times the noise.
     """
     noise_w, p_u = params.noise_power_w, params.p_u_max_w
-    sinrs = np.zeros(snapshot.k)
 
-    rx = np.abs(np.conj(channel.h_dl) @ w) ** 2 * p  # [K_dl, K_dl + V_ul]
-    desired = rx.diagonal().copy()
+    rx = np.abs(np.conj(channel.h_dl) @ w) ** 2 * p[..., None, :]  # [.., K_dl, K_dl + V_ul]
+    desired = rx.diagonal(0, -2, -1).copy()
     _zero_diagonal(rx)
-    ue_to_ue = (np.abs(channel.g_ue) ** 2).sum(axis=1) * p_u
-    sinrs[snapshot.dl_ues] = desired / (noise_w + rx.sum(axis=1) + ue_to_ue)
+    ue_to_ue = (np.abs(channel.g_ue) ** 2).sum(axis=-1) * p_u
+    dl = desired / (noise_w + rx.sum(axis=-1) + ue_to_ue)
 
-    gains = np.abs(channel.h_ul) ** 2  # [K_ul, N_ul]
-    desired = gains.diagonal() * p_u
+    gains = np.abs(channel.h_ul) ** 2  # [.., K_ul, N_ul]
+    desired = gains.diagonal(0, -2, -1) * p_u
     _zero_diagonal(gains)
-    bs_leak = np.abs(np.conj(channel.f_bs) @ w) ** 2 @ p
-    sinrs[snapshot.ul_ues] = desired / (noise_w + gains.sum(axis=0) * p_u + bs_leak)
+    bs_leak = (np.abs(np.conj(channel.f_bs) @ w) ** 2 @ p[..., None])[..., 0]
+    ul = desired / (noise_w + gains.sum(axis=-2) * p_u + bs_leak)
+
+    sinrs = np.empty(dl.shape[:-1] + (dl.shape[-1] + ul.shape[-1],))
+    np.put_along_axis(sinrs, np.concatenate((snapshot.dl_ues, snapshot.ul_ues), axis=-1),
+                      np.concatenate((dl, ul), axis=-1), axis=-1)
     return sinrs
 
 
@@ -85,19 +95,22 @@ def baseline_sinrs(snapshot, channel: ChannelRealization,
     serving BS against the other serving downlink BSs plus UE-to-UE
     interference; uplink BS b(j) hears its UE against the other uplink UEs
     plus the serving downlink BSs. Idle BSs transmit nothing. Without
-    downlink traffic W has no columns and no BS transmits.
+    downlink traffic W has no columns and no BS transmits. Takes one
+    Snapshot or a SnapshotGroup, as jt_sinrs does.
     """
-    serving = snapshot.ue_placement.serving_bs[snapshot.dl_ues]
-    w = np.zeros((snapshot.n_dl_count, snapshot.k_dl))
-    w[snapshot.n_dl.searchsorted(serving), np.arange(snapshot.k_dl)] = 1.0
-    return jt_sinrs(snapshot, channel, params, w, np.full(snapshot.k_dl, params.p_b_max_w))
+    w = (snapshot.n_dl[..., :, None] == snapshot.dl_bs[..., None, :]).astype(float)
+    p = np.full(w.shape[:-2] + w.shape[-1:], params.p_b_max_w)
+    return jt_sinrs(snapshot, channel, params, w, p)
 
 
 def snapshot_metrics(snapshot, sinrs: np.ndarray, bandwidth_hz: float) -> SnapshotMetrics:
-    """Convert per-UE SINRs into rates and directional sums."""
+    """Convert per-UE SINRs into rates and directional sums.
+
+    snapshot is one Snapshot, or a SnapshotGroup whose leading axes sinrs shares.
+    """
     rates = bandwidth_hz * np.log2(1.0 + sinrs)
-    dl = float(rates[snapshot.dl_ues].sum())
-    ul = float(rates[snapshot.ul_ues].sum())
+    dl = np.take_along_axis(rates, snapshot.dl_ues, axis=-1).sum(axis=-1)
+    ul = np.take_along_axis(rates, snapshot.ul_ues, axis=-1).sum(axis=-1)
     return SnapshotMetrics(per_ue_sinr=sinrs, dl_sum_rate_bps=dl, ul_sum_rate_bps=ul,
                            sum_rate_bps=dl + ul)
 

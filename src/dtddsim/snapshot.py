@@ -83,6 +83,25 @@ class Snapshot:
     def n_ul_count(self) -> int:
         return len(self.ul_bs)
 
+    @property
+    def dl_bs(self) -> np.ndarray:
+        """Serving BS of dl_ues[i], in that order."""
+        return self.ue_placement.serving_bs[self.dl_ues]
+
+
+@dataclass
+class SnapshotGroup:
+    """Snapshots of one partition shape, each index array stacked on a leading axis.
+
+    The SINR and rate kernels read these fields as they read one Snapshot's,
+    so a group of B snapshots takes one call where B snapshots take B.
+    """
+
+    dl_ues: np.ndarray  # [B, K_dl]
+    ul_ues: np.ndarray  # [B, K_ul]
+    dl_bs: np.ndarray   # [B, K_dl]
+    n_dl: np.ndarray    # [B, N_dl]
+
 
 def traffic_load(utilization: float, n_bs: int, traffic: TrafficConfig) -> int:
     """Active UE count K = round(utilization * N), rounding half-up.

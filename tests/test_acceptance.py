@@ -206,7 +206,8 @@ def test_c08_noise_power_value():
 
 
 def test_c09_worker_count_determinism(tmp_path):
-    # 100 tasks: chunks of 12 on one worker, of several tasks in the pool too
+    # 100 tasks: chunks of 64 and 36 on one worker; in the pool, chunks of
+    # 100 // (8 x workers) tasks, 3 or more
     base = dict(utilizations=(0.25, 0.75), snapshots_per_point=50,
                 master_seed=SEED)
     write_results(run_sweep(SimulationConfig(worker_count=1, **base)),

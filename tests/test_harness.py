@@ -56,7 +56,8 @@ def test_derive_stream_diverges_across_seeds():
 
 
 def test_worker_count_does_not_change_output(tmp_path):
-    # 80 tasks: chunks of several tasks both on one worker and in the pool
+    # 80 tasks: chunks of 64 and 16 on one worker; in the pool, chunks of
+    # 80 // (8 x workers) tasks, 3 or more
     cfg1 = small_config(snapshots_per_point=40, worker_count=1)
     cfg2 = small_config(snapshots_per_point=40, worker_count=3)
     write_results(run_sweep(cfg1), tmp_path / "serial")
@@ -375,8 +376,10 @@ def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed
 def test_schemes_share_per_snapshot_work(monkeypatch):
     # counted where the benchmark's trace wraps them (sweepbench/spans.py),
     # whose per-call counters read one 2-D M per zf_precoder call, the three
-    # positional arguments of solve_power_lp and the len of drop_ues's result
-    calls, shapes = Counter(), set()
+    # positional arguments of solve_power_lp and the len of drop_ues's result;
+    # the SINR and rate kernels take a shape group's snapshots stacked on a
+    # leading axis, so they are counted in snapshots as well as in calls
+    calls, stacked, shapes = Counter(), Counter(), set()
     for module, name in [(snapshot_module, "drop_ues"), (harness, "generate_snapshot"),
                          (harness, "build_channel_realization"),
                          (harness, "baseline_sinrs"), (harness, "build_precoder"),
@@ -392,21 +395,31 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
                 shapes.add((_name, len(args), tuple(kwargs)))
             elif _name == "drop_ues":
                 shapes.add((_name, len(result)))
+            elif _name in ("baseline_sinrs", "jt_sinrs"):
+                stacked[_name] += len(result)
+                stacked["most"] = max(stacked["most"], len(result))
+            elif _name == "snapshot_metrics":
+                stacked[_name] += len(args[1])
             return result
         monkeypatch.setattr(module, name, counted)
     res = run_sweep(small_config(utilizations=(0.5, 1.0), snapshots_per_point=10))
     # baseline SINRs once per snapshot; a precoder for JT, and for JT-DS only
     # when it has dummy streams (none at full load), else JT's result is reused
     with_dummies = [r for r in res.records if r.scheme == "jt_ds" and r.v_ul > 0]
-    assert calls["baseline_sinrs"] == 20
+    assert stacked["baseline_sinrs"] == 20
     assert calls["build_precoder"] == 20 + len(with_dummies)
     assert 0 < len(with_dummies) <= 10
     for name in ("drop_ues", "generate_snapshot", "build_channel_realization"):
         assert calls[name] == 20
-    for name in ("assemble_m", "zf_precoder", "solve_power_lp", "jt_sinrs"):
+    for name in ("assemble_m", "zf_precoder", "solve_power_lp"):
         assert calls[name] == calls["build_precoder"]
+    assert stacked["jt_sinrs"] == calls["build_precoder"]
     # one per distinct key: the baseline's, JT's and JT-DS's when it has dummies
-    assert calls["snapshot_metrics"] == 20 + calls["build_precoder"]
+    assert stacked["snapshot_metrics"] == 20 + calls["build_precoder"]
+    # the 20 tasks make one chunk, whose shape groups hold several snapshots
+    assert stacked["most"] > 1
+    for name in ("baseline_sinrs", "jt_sinrs", "snapshot_metrics"):
+        assert calls[name] < stacked[name]
     # K = 8 UEs at u = 0.5 and 16 at u = 1.0
     assert shapes == {("zf_precoder", 2), ("solve_power_lp", 3, ()),
                       ("drop_ues", 8), ("drop_ues", 16)}
@@ -462,3 +475,27 @@ def test_failure_fails_only_its_own_evaluation(monkeypatch):
         point = [r for r in res.records
                  if (r.scheme, r.utilization) == (entry["scheme"], entry["utilization"])]
         assert entry["n_failed"] == sum(r.failed for r in point)
+
+
+def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch):
+    # the LP fails on about half of the precoded jobs, so shape groups keep
+    # only some of their snapshots for the stacked SINR and rate calls; the
+    # 50 tasks make one chunk, so each (k_dl, k_ul) is one group
+    cfg = small_config(snapshots_per_point=25)
+    clean = run_sweep(cfg).records
+    original = harness.solve_power_lp
+
+    def fails_on_half(w, p_b_max_w, k_dl):
+        if w[0, 0].real > 0:
+            raise NumericalError("forced by test")
+        return original(w, p_b_max_w, k_dl)
+
+    monkeypatch.setattr(harness, "solve_power_lp", fails_on_half)
+    with pytest.warns(RuntimeWarning, match="failed"):
+        records = run_sweep(cfg).records
+    jt = records[records.scheme == "jt"]
+    partial = ({(r.k_dl, r.k_ul) for r in jt if r.failed}
+               & {(r.k_dl, r.k_ul) for r in jt if not r.failed})
+    assert partial
+    kept = ~records.failed
+    assert records[kept].tobytes() == clean[kept].tobytes()

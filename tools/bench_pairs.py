@@ -12,6 +12,11 @@ the change wins in the direction BENCHMARK.json gives (ties win for
 neither), go to the --out file under "trace<T>" / "<workload>/seed<N>".
 Other entries of an existing --out file are kept, so one file can collect
 several workloads and seeds. The temporary tree is removed at the end.
+
+A run that fails stays in its pair with its exit code and the end of its
+stderr, and the session goes on. Failed runs are left out of the quartiles
+and the wins, counted per side in the summary, and make the tool exit 1
+once --out is written.
 """
 
 import argparse
@@ -40,13 +45,16 @@ def export(ref: str, dest: Path) -> None:
 
 
 def run_bench(tree: Path, argv):
-    """One sweepbench run in tree: its metric values and correctness, and its environment."""
+    """One sweepbench run in tree: its metric values and correctness, and its environment.
+
+    A failed run gives its exit code and the last 2000 characters of its
+    stderr instead, and no environment.
+    """
     proc = subprocess.run([sys.executable, "sweepbench/run.py", *argv], cwd=tree,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
-        sys.exit(f"error: sweepbench/run.py {' '.join(argv)} failed in {tree}:\n"
-                 + proc.stderr[-2000:])
+        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}, None
     result = json.loads(lines[-1])
     env = next(json.loads(line[len("environment "):]) for line in lines
                if line.startswith("environment "))
@@ -62,18 +70,29 @@ def quartiles(values) -> list:
 
 
 def summarize(pairs, better: dict) -> dict:
-    """Per metric: each side's quartiles, the median ratio and the change's wins."""
-    summary = {}
-    for name in pairs[0]["parent"]["metrics"]:
-        parent = [p["parent"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
-        base = statistics.median(parent)
-        entry = {"parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
-                 "median_ratio": statistics.median(change) / base if base else None,
-                 "pairs": len(pairs)}
+    """Per metric: each side's quartiles, the median ratio and the change's wins.
+
+    Only runs that finished count. The quartiles and the median ratio take
+    each side's finished runs, the wins and "pairs" the pairs where both
+    sides finished; "failed_runs" counts the failed runs of each side.
+    """
+    sides = ("parent", "change")
+    done = {side: [p[side] for p in pairs if "metrics" in p[side]] for side in sides}
+    both = [p for p in pairs if all("metrics" in p[side] for side in sides)]
+    summary = {"failed_runs": {side: len(pairs) - len(done[side]) for side in sides}}
+    names = next((run["metrics"] for run in done["parent"] + done["change"]), {})
+    for name in names:
+        parent, change = ([run["metrics"][name] for run in done[side]] for side in sides)
+        base = statistics.median(parent) if parent else None
+        entry = {"parent_quartiles": quartiles(parent) if parent else None,
+                 "change_quartiles": quartiles(change) if change else None,
+                 "median_ratio": statistics.median(change) / base if base and change else None,
+                 "pairs": len(both)}
         sign = {"higher": 1, "lower": -1}.get(better.get(name))
         if sign:
-            entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            entry["change_wins"] = sum(
+                sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name]) > 0
+                for p in both)
         summary[name] = entry
     return summary
 
@@ -103,7 +122,7 @@ def main(argv=None):
     change = git("rev-parse", "HEAD") + (" with uncommitted changes"
                                           if git("status", "--porcelain") else "")
 
-    pairs = []
+    pairs, env = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_tree = Path(tmp)
         export(parent_sha, parent_tree)
@@ -112,11 +131,14 @@ def main(argv=None):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                pair[side], env = run_bench(trees[side], bench_argv)
+                pair[side], run_env = run_bench(trees[side], bench_argv)
+                env = run_env or env
                 print(f"pair {i + 1}/{args.pairs} {side}: "
-                      + json.dumps(pair[side]["metrics"])[:200], file=sys.stderr)
+                      + json.dumps(pair[side].get("metrics", pair[side]))[:200],
+                      file=sys.stderr)
             pairs.append(pair)
 
+    summary = summarize(pairs, better)
     out = Path(args.out)
     report = json.loads(out.read_text()) if out.exists() else {}
     report.setdefault(f"trace{args.trace}", {})[f"{args.workload}/seed{args.seed}"] = {
@@ -124,9 +146,13 @@ def main(argv=None):
         "parent": parent_sha, "change": change,
         "environment": env,
         "pairs": pairs,
-        "summary": summarize(pairs, better),
+        "summary": summary,
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
+    failed = summary["failed_runs"]
+    if any(failed.values()):
+        sys.exit(f"error: failed sweepbench runs (parent, change): "
+                 f"{failed['parent']}, {failed['change']}; see {out}")
 
 
 if __name__ == "__main__":
