@@ -3,7 +3,8 @@
 Every (utilization, snapshot) pair owns one random stream derived from the
 master seed, and all schemes evaluate the same snapshot and channel drawn
 from it. Output is therefore a pure function of the configuration,
-independent of worker count, chunk size and scheduling order.
+independent of worker count, chunk size (see README, "How a sweep runs", for
+one known exception under OPENBLAS_CORETYPE=Prescott) and scheduling order.
 """
 
 import dataclasses
@@ -167,83 +168,66 @@ def _v_ul_key(scheme: str, snap, delta: int):
     return v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
 
 
-def _each(jobs: dict, step) -> dict:
-    """{job: step(job, value)} for every job whose step raises no NumericalError."""
-    out = {}
-    for job, value in jobs.items():
-        try:
-            out[job] = step(job, value)
-        except NumericalError:
-            pass
-    return out
-
-
 def _stack(cls, items):
     """A cls whose every field stacks that attribute of the items on a leading axis."""
     return cls(*(np.stack([getattr(item, f.name) for item in items])
                  for f in dataclasses.fields(cls)))
 
 
-def _take(stacked, rows):
-    """A stacked SnapshotGroup or ChannelRealization at the given leading rows."""
-    return type(stacked)(*(getattr(stacked, f.name)[rows]
-                           for f in dataclasses.fields(stacked)))
-
-
 def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> list:
     """evaluate_snapshot on each (snapshot, channel) pair, one layer at a time.
 
-    Snapshots whose four channel blocks have the same shapes form a group:
-    with one UE per BS, those of one (K_dl, K_ul) pair. They share every
-    scheme's V_ul key, so each group makes one baseline_sinrs call, and per
-    key one jt_sinrs and one snapshot_metrics call over its stacked
-    snapshots. The precoder and the power LP run per job, one (snapshot,
-    V_ul key) at a time; a NumericalError there drops only its own job
-    from the stacked calls that follow. Every layer runs across the whole
-    chunk before the next starts.
+    Snapshots whose four channel blocks have the same shapes (with one UE
+    per BS, one (K_dl, K_ul) pair) form a group: one baseline_sinrs call,
+    one evaluation per V_ul key and, per key that precodes, one job per
+    member. Every job's precoder runs, then every job's power LP, then each
+    evaluation's jt_sinrs and snapshot_metrics over its surviving jobs, so
+    each layer spans the chunk. A NumericalError drops only its own job.
     """
     shapes = {}
     for i, chan in enumerate(chans):
         shapes.setdefault(chan.h_dl.shape + chan.h_ul.shape, []).append(i)
-    groups = []  # (members, {scheme: V_ul key}, SnapshotGroup, channels, baseline SINRs)
+    out = [None] * len(snaps)
+    evaluations = []  # (members, V_ul key, its schemes, group, channels, SINRs, ws, ps)
     for members in shapes.values():
         keys = {scheme: _v_ul_key(scheme, snaps[members[0]], delta) for scheme in schemes}
+        for i in members:
+            out[i] = {scheme: (v or 0, None) for scheme, v in keys.items()}
         group = _stack(SnapshotGroup, [snaps[i] for i in members])
         chan = _stack(ChannelRealization, [chans[i] for i in members])
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
                 if any(v is None or v > 0 for v in keys.values()) else None)
-        groups.append((members, keys, group, chan, base))
+        evaluations += [(members, v, [s for s in keys if keys[s] == v], group, chan, base, [], [])
+                        for v in dict.fromkeys(keys.values())]
 
-    jobs = {(i, v): base[row] if v else None
-            for members, keys, _, _, base in groups
-            for v in dict.fromkeys(keys.values()) if v is not None
-            for row, i in enumerate(members)}
-    ws = _each(jobs, lambda job, b: build_precoder(snaps[job[0]], chans[job[0]], job[1], b)[0])
-    ps = _each(ws, lambda job, w: solve_power_lp(w, params.p_b_max_w, snaps[job[0]].k_dl))
-
-    metrics = {}  # (snapshot index, V_ul key): SnapshotMetrics
-    for members, keys, group, chan, base in groups:
-        for v in dict.fromkeys(keys.values()):
-            if v is None:
-                rows, kept, sinrs = range(len(members)), group, base
-            else:
-                rows = [row for row, i in enumerate(members) if (i, v) in ps]
-                if not rows:
-                    continue
-                kept, kept_chan = ((group, chan) if len(rows) == len(members)
-                                   else (_take(group, rows), _take(chan, rows)))
-                sinrs = jt_sinrs(kept, kept_chan, params,
-                                 np.stack([ws[members[row], v] for row in rows]),
-                                 np.stack([ps[members[row], v] for row in rows]))
-            m = snapshot_metrics(kept, sinrs, params.bandwidth_hz)
-            for row, *fields in zip(rows, m.per_ue_sinr, m.dl_sum_rate_bps.tolist(),
-                                    m.ul_sum_rate_bps.tolist(), m.sum_rate_bps.tolist()):
-                metrics[members[row], v] = SnapshotMetrics(*fields)
-    out = [None] * len(snaps)
-    for members, keys, *_ in groups:
-        for i in members:
-            out[i] = {scheme: (v or 0, metrics.get((i, v))) for scheme, v in keys.items()}
+    for members, v, _, _, _, base, ws, _ in evaluations:  # ws: (row, precoder)
+        for row, i in enumerate(members if v is not None else ()):
+            try:
+                w, _ = build_precoder(snaps[i], chans[i], v, base[row] if v else None)
+                ws.append((row, w))
+            except NumericalError:
+                pass
+    for members, _, _, _, _, _, ws, ps in evaluations:  # ps: (row, precoder, powers)
+        for row, w in ws:
+            try:
+                ps.append((row, w, solve_power_lp(w, params.p_b_max_w, snaps[members[row]].k_dl)))
+            except NumericalError:
+                pass
+    for members, v, names, group, chan, sinrs, _, ps in evaluations:
+        rows = range(len(members)) if v is None else [row for row, _, _ in ps]
+        if not rows:
+            continue  # every job failed: its schemes read None
+        if len(rows) < len(members):
+            group = _stack(SnapshotGroup, [snaps[members[row]] for row in rows])
+            chan = _stack(ChannelRealization, [chans[members[row]] for row in rows])
+        if v is not None:
+            sinrs = jt_sinrs(group, chan, params, np.stack([w for _, w, _ in ps]),
+                             np.stack([p for _, _, p in ps]))
+        m = snapshot_metrics(group, sinrs, params.bandwidth_hz)
+        for row, *fields in zip(rows, m.per_ue_sinr, m.dl_sum_rate_bps.tolist(),
+                                m.ul_sum_rate_bps.tolist(), m.sum_rate_bps.tolist()):
+            out[members[row]].update(dict.fromkeys(names, (v or 0, SnapshotMetrics(*fields))))
     return out
 
 

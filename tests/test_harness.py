@@ -379,7 +379,7 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # positional arguments of solve_power_lp and the len of drop_ues's result;
     # the SINR and rate kernels take a shape group's snapshots stacked on a
     # leading axis, so they are counted in snapshots as well as in calls
-    calls, stacked, shapes = Counter(), Counter(), set()
+    calls, stacked, shapes, log = Counter(), Counter(), set(), []
     for module, name in [(snapshot_module, "drop_ues"), (harness, "generate_snapshot"),
                          (harness, "build_channel_realization"),
                          (harness, "baseline_sinrs"), (harness, "build_precoder"),
@@ -388,6 +388,7 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
                          (harness, "snapshot_metrics")]:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
+            log.append(_name)
             result = _original(*args, **kwargs)
             if _name == "zf_precoder":
                 shapes.add((_name, np.ndim(args[0])))
@@ -423,6 +424,12 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # K = 8 UEs at u = 0.5 and 16 at u = 1.0
     assert shapes == {("zf_precoder", 2), ("solve_power_lp", 3, ()),
                       ("drop_ues", 8), ("drop_ues", 16)}
+    # each layer runs across the whole chunk before the next starts
+    stages = ["generate_snapshot", "build_channel_realization", "baseline_sinrs",
+              "build_precoder", "solve_power_lp", "jt_sinrs"]
+    for stage, following in zip(stages, stages[1:]):
+        last = len(log) - 1 - log[::-1].index(stage)
+        assert last < log.index(following), (stage, following)
 
 
 def bits(m):

@@ -13,10 +13,12 @@ neither), go to the --out file under "trace<T>" / "<workload>/seed<N>".
 Other entries of an existing --out file are kept, so one file can collect
 several workloads and seeds. The temporary tree is removed at the end.
 
-A run that fails stays in its pair with its exit code and the end of its
-stderr, and the session goes on. Failed runs are left out of the quartiles
-and the wins, counted per side in the summary, and make the tool exit 1
-once --out is written.
+A run fails when it exits non-zero, when its output checks fail ("correct":
+false) or when its output cannot be read: a last line that is not the
+result JSON, or no "environment " line. A failed run stays in its pair, and
+the session goes on. Failed runs are left out of the quartiles and the
+wins, counted per side in the summary, and make the tool exit 1 once --out
+is written.
 """
 
 import argparse
@@ -47,20 +49,25 @@ def export(ref: str, dest: Path) -> None:
 def run_bench(tree: Path, argv):
     """One sweepbench run in tree: its metric values and correctness, and its environment.
 
-    A failed run gives its exit code and the last 2000 characters of its
-    stderr instead, and no environment.
+    A run that exits non-zero, or whose output cannot be read, gives its
+    exit code, the reason and the last 2000 characters of its stderr
+    instead, and no environment.
     """
     proc = subprocess.run([sys.executable, "sweepbench/run.py", *argv], cwd=tree,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode or not lines:
-        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}, None
-    result = json.loads(lines[-1])
-    env = next(json.loads(line[len("environment "):]) for line in lines
-               if line.startswith("environment "))
-    return {"correct": result["correct"], "failed": result["failed"],
-            "attempted": result["attempted"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}, env
+    error = "non-zero exit" if proc.returncode else None
+    if not error:
+        try:
+            result = json.loads(lines[-1])
+            env = next(json.loads(line[len("environment "):]) for line in lines
+                       if line.startswith("environment "))
+            return {"correct": result["correct"], "failed": result["failed"],
+                    "attempted": result["attempted"],
+                    "metrics": {name: m["value"] for name, m in result["metrics"].items()}}, env
+        except (ValueError, LookupError, TypeError, AttributeError, StopIteration) as exc:
+            error = repr(exc)
+    return {"returncode": proc.returncode, "error": error, "stderr": proc.stderr[-2000:]}, None
 
 
 def quartiles(values) -> list:
@@ -72,13 +79,14 @@ def quartiles(values) -> list:
 def summarize(pairs, better: dict) -> dict:
     """Per metric: each side's quartiles, the median ratio and the change's wins.
 
-    Only runs that finished count. The quartiles and the median ratio take
-    each side's finished runs, the wins and "pairs" the pairs where both
-    sides finished; "failed_runs" counts the failed runs of each side.
+    Only runs that finished with correct output count. The quartiles and
+    the median ratio take each side's finished runs, the wins and "pairs"
+    the pairs where both sides finished; "failed_runs" counts the failed
+    runs of each side.
     """
     sides = ("parent", "change")
-    done = {side: [p[side] for p in pairs if "metrics" in p[side]] for side in sides}
-    both = [p for p in pairs if all("metrics" in p[side] for side in sides)]
+    done = {side: [p[side] for p in pairs if p[side].get("correct") is True] for side in sides}
+    both = [p for p in pairs if all(p[side].get("correct") is True for side in sides)]
     summary = {"failed_runs": {side: len(pairs) - len(done[side]) for side in sides}}
     names = next((run["metrics"] for run in done["parent"] + done["change"]), {})
     for name in names:
