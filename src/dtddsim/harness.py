@@ -2,9 +2,8 @@
 
 Every (utilization, snapshot) pair owns one random stream derived from the
 master seed, and all schemes evaluate the same snapshot and channel drawn
-from it. Output is therefore a pure function of the configuration,
-independent of worker count, chunk size (see README, "How a sweep runs", for
-one known exception under OPENBLAS_CORETYPE=Prescott) and scheduling order.
+from it. Output is therefore a pure function of the configuration, bit for
+bit independent of worker count, chunk size and scheduling order.
 """
 
 import dataclasses
@@ -178,57 +177,56 @@ def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> l
     """evaluate_snapshot on each (snapshot, channel) pair, one layer at a time.
 
     Snapshots whose four channel blocks have the same shapes (with one UE
-    per BS, one (K_dl, K_ul) pair) form a group: one baseline_sinrs call,
-    one evaluation per V_ul key and, per key that precodes, one job per
-    member. Every job's precoder runs, then every job's power LP, then each
-    evaluation's jt_sinrs and snapshot_metrics over its surviving jobs, so
-    each layer spans the chunk. A NumericalError drops only its own job.
+    per BS, one (K_dl, K_ul) pair) form a group: one baseline_sinrs call
+    and one evaluation per V_ul key, whose rows fill stacked W and p.
+    Every row's precoder runs, then every row's power LP, then each
+    evaluation's jt_sinrs and snapshot_metrics over its whole group, so each
+    layer spans the chunk. A NumericalError clears its own row of the ok
+    mask; the row's zero W or p gives finite SINRs, which read None.
     """
     shapes = {}
     for i, chan in enumerate(chans):
         shapes.setdefault(chan.h_dl.shape + chan.h_ul.shape, []).append(i)
-    out = [None] * len(snaps)
-    evaluations = []  # (members, V_ul key, its schemes, group, channels, SINRs, ws, ps)
+    keys = {}  # per snapshot, {scheme: V_ul key}
+    evaluations = []  # (members, V_ul key, group, channels, SINRs, W, p, ok)
     for members in shapes.values():
-        keys = {scheme: _v_ul_key(scheme, snaps[members[0]], delta) for scheme in schemes}
-        for i in members:
-            out[i] = {scheme: (v or 0, None) for scheme, v in keys.items()}
+        snap = snaps[members[0]]
+        group_keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
+        keys.update(dict.fromkeys(members, group_keys))
         group = _stack(SnapshotGroup, [snaps[i] for i in members])
         chan = _stack(ChannelRealization, [chans[i] for i in members])
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
-                if any(v is None or v > 0 for v in keys.values()) else None)
-        evaluations += [(members, v, [s for s in keys if keys[s] == v], group, chan, base, [], [])
-                        for v in dict.fromkeys(keys.values())]
+                if any(v is None or v > 0 for v in group_keys.values()) else None)
+        for v in dict.fromkeys(group_keys.values()):
+            cols = snap.k_dl + (v or 0)
+            evaluations.append((members, v, group, chan, base,
+                                np.zeros((len(members), snap.n_dl_count, cols), complex),
+                                np.zeros((len(members), cols)), np.ones(len(members), bool)))
 
-    for members, v, _, _, _, base, ws, _ in evaluations:  # ws: (row, precoder)
+    for members, v, _, _, base, w, _, ok in evaluations:
         for row, i in enumerate(members if v is not None else ()):
             try:
-                w, _ = build_precoder(snaps[i], chans[i], v, base[row] if v else None)
-                ws.append((row, w))
+                w[row] = build_precoder(snaps[i], chans[i], v, base[row] if v else None)[0]
             except NumericalError:
-                pass
-    for members, _, _, _, _, _, ws, ps in evaluations:  # ps: (row, precoder, powers)
-        for row, w in ws:
+                ok[row] = False
+    for members, v, _, _, _, w, p, ok in evaluations:
+        for row in np.flatnonzero(ok) if v is not None else ():
             try:
-                ps.append((row, w, solve_power_lp(w, params.p_b_max_w, snaps[members[row]].k_dl)))
+                p[row] = solve_power_lp(w[row], params.p_b_max_w, snaps[members[row]].k_dl)
             except NumericalError:
-                pass
-    for members, v, names, group, chan, sinrs, _, ps in evaluations:
-        rows = range(len(members)) if v is None else [row for row, _, _ in ps]
-        if not rows:
-            continue  # every job failed: its schemes read None
-        if len(rows) < len(members):
-            group = _stack(SnapshotGroup, [snaps[members[row]] for row in rows])
-            chan = _stack(ChannelRealization, [chans[members[row]] for row in rows])
+                ok[row] = False
+    table = {}  # (snapshot, V_ul key) -> SnapshotMetrics, or None if it failed
+    for members, v, group, chan, sinrs, w, p, ok in evaluations:
         if v is not None:
-            sinrs = jt_sinrs(group, chan, params, np.stack([w for _, w, _ in ps]),
-                             np.stack([p for _, _, p in ps]))
+            sinrs = jt_sinrs(group, chan, params, w, p)
         m = snapshot_metrics(group, sinrs, params.bandwidth_hz)
-        for row, *fields in zip(rows, m.per_ue_sinr, m.dl_sum_rate_bps.tolist(),
-                                m.ul_sum_rate_bps.tolist(), m.sum_rate_bps.tolist()):
-            out[members[row]].update(dict.fromkeys(names, (v or 0, SnapshotMetrics(*fields))))
-    return out
+        for i, good, *fields in zip(members, ok.tolist(), m.per_ue_sinr,
+                                    m.dl_sum_rate_bps.tolist(), m.ul_sum_rate_bps.tolist(),
+                                    m.sum_rate_bps.tolist()):
+            table[i, v] = SnapshotMetrics(*fields) if good else None
+    return [{scheme: (v or 0, table[i, v]) for scheme, v in keys[i].items()}
+            for i in range(len(snaps))]
 
 
 def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,

@@ -50,6 +50,8 @@ def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
     channel blocks, W and p share; the SINRs then gain those axes. Every
     product is a matmul, which takes each matrix of a stack through the
     BLAS call of a one-matrix product; einsum would sum in another order.
+    Both leak terms weight by p elementwise and take a numpy row sum: as a
+    BLAS dot, a one-row leak sums by its address in the stack under Prescott.
     A downlink-free snapshot passes W with zero columns.
 
     Downlink UE i (row i of h_dl, column i of W):
@@ -76,7 +78,7 @@ def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
     gains = np.abs(channel.h_ul) ** 2  # [.., K_ul, N_ul]
     desired = gains.diagonal(0, -2, -1) * p_u
     _zero_diagonal(gains)
-    bs_leak = (np.abs(np.conj(channel.f_bs) @ w) ** 2 @ p[..., None])[..., 0]
+    bs_leak = (np.abs(np.conj(channel.f_bs) @ w) ** 2 * p[..., None, :]).sum(axis=-1)
     ul = desired / (noise_w + gains.sum(axis=-2) * p_u + bs_leak)
 
     sinrs = np.empty(dl.shape[:-1] + (dl.shape[-1] + ul.shape[-1],))

@@ -17,11 +17,14 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from conftest import random_scene
-from dtddsim import (RadioParams, SingularChannelError, TrafficConfig,
-                     baseline_sinrs, build_channel_realization, build_grid,
-                     build_precoder, draw_channel, drop_ues, generate_snapshot,
-                     jt_sinrs, path_loss_db, solve_power_lp, v_ul, v_ul_max)
+from dtddsim import (ChannelRealization, NumericalError, RadioParams,
+                     SingularChannelError, TrafficConfig, baseline_sinrs,
+                     build_channel_realization, build_grid, build_precoder, draw_channel,
+                     drop_ues, generate_snapshot, jt_sinrs, path_loss_db, solve_power_lp,
+                     v_ul, v_ul_max)
+from dtddsim.harness import _stack
 from dtddsim.power import _simplex_max
+from dtddsim.snapshot import SnapshotGroup
 from dtddsim.topology import pairwise_distances
 
 EPS = np.finfo(float).eps
@@ -56,6 +59,50 @@ def test_matrix_sinr_matches_per_ue_oracle(seed, k, dl_probability):
         np.testing.assert_allclose(jt_sinrs(snap, chan, params, w, p),
                                    oracles.jt_sinrs(snap, chan, params, w, p),
                                    rtol=RTOL, atol=0)
+
+
+def precoded(snap, chan, params, v, base):
+    """W and p of V_ul = v, or zeros if either fails (finite SINRs, as a masked row)."""
+    try:
+        w, _ = build_precoder(snap, chan, v, base)
+        return w, solve_power_lp(w, params.p_b_max_w, snap.k_dl)
+    except NumericalError:
+        r = snap.k_dl + v
+        return np.zeros((snap.n_dl_count, r), complex), np.zeros(r)
+
+
+def test_stacked_sinrs_match_each_members_own_call():
+    # a shape group's stacked SINRs must equal each member's own call bit
+    # for bit, whatever its place in the stack. At u = 0.5, p = 0.9 makes
+    # K_ul = 1 groups and p = 0.1 K_dl = 1 groups, whose one-row and
+    # one-column products numpy hands to BLAS vector calls; under
+    # OPENBLAS_CORETYPE=Prescott a dot sums by its operand's address
+    params, topo = RadioParams(), build_grid(16, 40.0)
+    differ = []
+    for dl_probability in (0.9, 0.1):
+        traffic = TrafficConfig(dl_probability=dl_probability)
+        groups = {}
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            snap = generate_snapshot(topo, 0.5, traffic, rng)
+            chan = build_channel_realization(snap, topo, params, rng)
+            groups.setdefault((snap.k_dl, snap.k_ul), []).append((snap, chan))
+        for shape, members in groups.items():
+            group = _stack(SnapshotGroup, [snap for snap, _ in members])
+            chan = _stack(ChannelRealization, [chan for _, chan in members])
+            alone = [baseline_sinrs(snap, c, params) for snap, c in members]
+            evaluations = {None: (baseline_sinrs(group, chan, params), alone)}
+            for v in (0, 1):
+                wp = [precoded(snap, c, params, v, base)
+                      for (snap, c), base in zip(members, alone)]
+                evaluations[v] = (jt_sinrs(group, chan, params, *map(np.stack, zip(*wp))),
+                                  [jt_sinrs(snap, c, params, w, p)
+                                   for (snap, c), (w, p) in zip(members, wp)])
+            differ += [(dl_probability, shape, v, row)
+                       for v, (stacked, each) in evaluations.items()
+                       for row, sinrs in enumerate(each)
+                       if stacked[row].tobytes() != sinrs.tobytes()]
+    assert differ == []
 
 
 @st.composite

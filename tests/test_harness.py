@@ -55,17 +55,22 @@ def test_derive_stream_diverges_across_seeds():
             assert not np.array_equal(a, b)
 
 
-def test_worker_count_does_not_change_output(tmp_path):
+def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     # 80 tasks: chunks of 64 and 16 on one worker; in the pool, chunks of
-    # 80 // (8 x workers) tasks, 3 or more
+    # 80 // (8 x workers) tasks, 3 or more; with CHUNK = 1, one task each.
+    # The full-precision records must match too, not only the 12 digits
     cfg1 = small_config(snapshots_per_point=40, worker_count=1)
     cfg2 = small_config(snapshots_per_point=40, worker_count=3)
-    write_results(run_sweep(cfg1), tmp_path / "serial")
-    write_results(run_sweep(cfg2), tmp_path / "parallel")
+    serial, parallel = run_sweep(cfg1), run_sweep(cfg2)
+    write_results(serial, tmp_path / "serial")
+    write_results(parallel, tmp_path / "parallel")
     for name in ("records.csv", "summary.json"):
-        serial = (tmp_path / "serial" / name).read_bytes()
-        parallel = (tmp_path / "parallel" / name).read_bytes()
-        assert serial == parallel
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes())
+    monkeypatch.setattr(harness, "CHUNK", 1)
+    one_task_chunks = run_sweep(cfg1)
+    assert serial.records.tobytes() == parallel.records.tobytes()
+    assert serial.records.tobytes() == one_task_chunks.records.tobytes()
 
 
 class SerialPool:
@@ -485,9 +490,10 @@ def test_failure_fails_only_its_own_evaluation(monkeypatch):
 
 
 def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch):
-    # the LP fails on about half of the precoded jobs, so shape groups keep
-    # only some of their snapshots for the stacked SINR and rate calls; the
-    # 50 tasks make one chunk, so each (k_dl, k_ul) is one group
+    # the LP fails on about half of the precoded jobs, so shape groups mix
+    # masked rows (zero powers, read as failed) with evaluated ones in their
+    # stacked SINR and rate calls; the 50 tasks make one chunk, so each
+    # (k_dl, k_ul) is one group
     cfg = small_config(snapshots_per_point=25)
     clean = run_sweep(cfg).records
     original = harness.solve_power_lp
