@@ -179,16 +179,20 @@ def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> l
     Snapshots whose four channel blocks have the same shapes (with one UE
     per BS, one (K_dl, K_ul) pair) form a group: one baseline_sinrs call
     and one evaluation per V_ul key, whose rows fill stacked W and p.
-    Every row's precoder runs, then every row's power LP, then each
-    evaluation's jt_sinrs and snapshot_metrics over its whole group, so each
-    layer spans the chunk. A NumericalError clears its own row of the ok
-    mask; the row's zero W or p gives finite SINRs, which read None.
+    Every row's precoder runs, then one power LP call per group over the
+    rows of all its precoded keys (dummy columns carry no powers, so each
+    is an LP over the K_dl data columns), then each evaluation's jt_sinrs
+    and snapshot_metrics over its whole group, so each layer spans the
+    chunk. A precoder's NumericalError or an LP's NaN row clears its own
+    row of the ok mask; the row's zero W or p gives finite SINRs, which
+    read None.
     """
     shapes = {}
     for i, chan in enumerate(chans):
         shapes.setdefault(chan.h_dl.shape + chan.h_ul.shape, []).append(i)
     keys = {}  # per snapshot, {scheme: V_ul key}
     evaluations = []  # (members, V_ul key, group, channels, SINRs, W, p, ok)
+    lps = []  # per shape group with precoded keys: K_dl and their (W, p, ok)
     for members in shapes.values():
         snap = snaps[members[0]]
         group_keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
@@ -198,11 +202,16 @@ def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> l
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
                 if any(v is None or v > 0 for v in group_keys.values()) else None)
+        precoded = []
         for v in dict.fromkeys(group_keys.values()):
             cols = snap.k_dl + (v or 0)
-            evaluations.append((members, v, group, chan, base,
-                                np.zeros((len(members), snap.n_dl_count, cols), complex),
-                                np.zeros((len(members), cols)), np.ones(len(members), bool)))
+            w, p, ok = (np.zeros((len(members), snap.n_dl_count, cols), complex),
+                        np.zeros((len(members), cols)), np.ones(len(members), bool))
+            evaluations.append((members, v, group, chan, base, w, p, ok))
+            if v is not None:
+                precoded.append((w, p, ok))
+        if precoded:
+            lps.append((snap.k_dl, precoded))
 
     for members, v, _, _, base, w, _, ok in evaluations:
         for row, i in enumerate(members if v is not None else ()):
@@ -210,12 +219,14 @@ def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> l
                 w[row] = build_precoder(snaps[i], chans[i], v, base[row] if v else None)[0]
             except NumericalError:
                 ok[row] = False
-    for members, v, _, _, _, w, p, ok in evaluations:
-        for row in np.flatnonzero(ok) if v is not None else ():
-            try:
-                p[row] = solve_power_lp(w[row], params.p_b_max_w, snaps[members[row]].k_dl)
-            except NumericalError:
-                ok[row] = False
+    for k_dl, precoded in lps:
+        rows = [np.flatnonzero(ok) for _, _, ok in precoded]
+        w = np.concatenate([w_key[r, :, :k_dl] for (w_key, _, _), r in zip(precoded, rows)])
+        p = solve_power_lp(w, params.p_b_max_w, k_dl)
+        for (_, p_key, ok), r in zip(precoded, rows):  # each key's rows in turn
+            p_rows, p = p[:len(r)], p[len(r):]
+            ok[r] = solved = ~np.isnan(p_rows).any(1)
+            p_key[r[solved], :k_dl] = p_rows[solved]
     table = {}  # (snapshot, V_ul key) -> SnapshotMetrics, or None if it failed
     for members, v, group, chan, sinrs, w, p, ok in evaluations:
         if v is not None:
@@ -243,8 +254,8 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
              BSs, which join the precoder as zero-power rows, then power LP.
     Schemes with one key share one evaluation, so JT-DS at V_ul = 0 is JT.
     The baseline SINRs are computed at most once, and only if the baseline
-    or a JT-DS selection needs them. A NumericalError of the precoder or
-    the power LP fails only its own key. This is the sweep's evaluation of
+    or a JT-DS selection needs them. A NumericalError of the precoder or a
+    failed power LP fails only its own key. This is the sweep's evaluation of
     a chunk of one snapshot.
     """
     return _evaluate_chunk([snap], [chan], params, schemes, delta)[0]

@@ -4,67 +4,87 @@ The production path maximizes the plain power sum over the data streams,
 which is a linear program: maximize sum_k p_k subject to
 sum_k |w_nk|^2 p_k <= P_b for every antenna n and p >= 0, with the dummy
 streams pinned at zero. Instances are tiny (at most N variables and N
-constraints), so the LP is solved by an in-repo dense simplex.
+constraints) and come a shape group at a time, so the LP is solved by an
+in-repo dense simplex over a stack of them.
 """
-
-import math
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericalError
+from .exceptions import ConfigurationError
+
+# how an element of a stack left the simplex: solved, or the failure that
+# leaves its row of the result NaN
+SOLVED, UNBOUNDED, LOST_FEASIBILITY, OUT_OF_PIVOTS = range(4)
 
 
-def _simplex_max(c, a: np.ndarray, b, tol: float = 1e-11) -> np.ndarray:
-    """Maximize c @ x s.t. a @ x <= b, x >= 0, where b >= 0.
+def _simplex_max(c, a: np.ndarray, b, tol: float = 1e-11):
+    """Maximize c @ x s.t. a @ x <= b, x >= 0, where b >= 0, for a stack of LPs.
 
-    c and b are arrays, or scalars that stand for arrays of that value.
+    a is [B, m, n]; c and b are [B, n] and [B, m] arrays, or arrays or
+    scalars that broadcast to them. Returns x [B, n] and each element's
+    status (SOLVED or the failure's code); a failed element's x is NaN.
 
     Dense tableau simplex starting from the slack basis (the origin is
     feasible). Bland's rule on both the entering and leaving choice, so the
-    method cannot cycle. Raises NumericalError if the LP is unbounded, if
+    method cannot cycle. An element fails if its LP is unbounded, if
     rounding leaves no row in the ratio test (a NaN ratio included), or if
-    the pivots run out.
-
-    The pivot choice reads the reduced row, the entering column and the
-    right-hand side as Python floats, which costs less than numpy calls on
-    rows of at most 32 entries; the elimination stays one numpy update.
+    the pivots run out. Each element makes the pivots and the elementwise
+    arithmetic it would make alone: the first column with reduced cost
+    > tol enters; ratio-test ties within tol * (1 + best) leave by the
+    smallest basis index; the pivot row is divided by the pivot before the
+    elimination, whose factor is zero on the pivot row itself, so that row
+    loses 0 * itself (a zero's sign can flip). Elements that finish or fail
+    leave the stack that is pivoted.
     """
-    m, n = a.shape
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t.reshape(-1)[n:n + m * (n + m + 2):n + m + 2] = 1.0  # the slack identity
-    t[:m, -1] = b
-    t[m, :n] = c
-    basis = list(range(n, n + m))
+    size, m, n = a.shape
+    t = np.zeros((size, m + 1, n + m + 1))
+    t[:, :m, :n] = a
+    t[:, np.arange(m), np.arange(n, n + m)] = 1.0  # the slack identity
+    t[:, :m, -1] = b
+    t[:, m, :n] = c
+    basis = np.empty((size, m), int)
+    basis[:] = np.arange(n, n + m)
+    status = np.full(size, OUT_OF_PIVOTS)
+    # each element's basis and right-hand side when it left the stack
+    final_basis, final_rhs = basis.copy(), np.zeros((size, m))
+    live = np.arange(size)  # the stack index of each element still pivoting
+    at = np.arange(size)
     for _ in range(200 * (n + m + 1)):
-        for entering, r in enumerate(t[m, :n + m].tolist()):
-            if r > tol:  # first improving column
-                break
-        else:
-            x = np.zeros(n + m)
-            x[basis] = t[:m, -1]
-            return x[:n]
-        col = t[:m, entering].tolist()
-        rhs = t[:m, -1].tolist()
-        rows = [i for i, v in enumerate(col) if v > tol]
-        if not rows:
-            raise NumericalError("LP is unbounded")
-        ratios = [rhs[i] / col[i] for i in rows]
-        # a NaN ratio leaves no row within reach of the minimum
-        best = math.nan if any(map(math.isnan, ratios)) else min(ratios)
-        ties = [i for i, r in zip(rows, ratios) if r <= best + tol * (1.0 + best)]
-        if not ties:  # best < -1: rounding left a right-hand side negative
-            raise NumericalError("simplex lost primal feasibility to rounding")
-        leaving = min(ties, key=basis.__getitem__)
-        t[leaving] /= col[leaving]
-        # eliminate the entering column from every other row: the same
-        # products and differences as row by row, and rows whose factor is
-        # zero lose 0 * t[leaving], which is no change but a zero's sign
-        factor = t[:, entering].copy()
-        factor[leaving] = 0.0
-        t -= factor[:, None] * t[leaving]
-        basis[leaving] = entering
-    raise NumericalError("simplex failed to converge")
+        improving = t[:, m, :n + m] > tol
+        entering = improving.argmax(1)  # the first improving column
+        # the entering column, objective row included: the elimination's factor
+        factor = t[at, :, entering]
+        col = factor[:, :m]
+        pos = col > tol
+        # rows not > tol get inf / 1
+        ratios = np.where(pos, t[:, :m, -1], np.inf) / np.where(pos, col, 1.0)
+        best = np.minimum.reduce(ratios, axis=1, keepdims=True)  # NaN if any ratio is
+        ties = pos & (ratios <= best + tol * (1.0 + best))
+        leaving = np.where(ties, basis, n + m).argmin(1)
+        pivots = improving[at, entering] & ties[at, leaving]
+        if np.count_nonzero(pivots) < live.size:
+            done, keep = np.flatnonzero(~pivots), np.flatnonzero(pivots)
+            # no row in reach: unbounded without one > tol, else lost to rounding
+            status[live[done]] = np.where(~improving[done].any(1), SOLVED,
+                                          np.where(pos[done].any(1), LOST_FEASIBILITY,
+                                                   UNBOUNDED))
+            final_basis[live[done]] = basis[done]
+            final_rhs[live[done]] = t[done, :m, -1]
+            t, basis, live = t[keep], basis[keep], live[keep]
+            entering, leaving, factor = entering[keep], leaving[keep], factor[keep]
+            at = at[:live.size]
+        if not live.size:
+            break
+        row = t[at, leaving] / factor[at, leaving][:, None]
+        t[at, leaving] = row
+        factor[at, leaving] = 0.0
+        t -= factor[:, :, None] * row[:, None, :]
+        basis[at, leaving] = entering
+    x = np.zeros((size, n + m))
+    x[np.arange(size)[:, None], final_basis] = final_rhs
+    x = x[:, :n]
+    x[status != SOLVED] = np.nan
+    return x, status
 
 
 def _antenna_gains(w: np.ndarray, k_dl: int) -> np.ndarray:
@@ -72,23 +92,27 @@ def _antenna_gains(w: np.ndarray, k_dl: int) -> np.ndarray:
     w = np.asarray(w)
     if k_dl < 1:
         raise ConfigurationError("power allocation needs at least one downlink UE")
-    if k_dl > w.shape[1]:
+    if k_dl > w.shape[-1]:
         raise ConfigurationError("k_dl exceeds the number of precoder columns")
-    a = np.abs(w[:, :k_dl]) ** 2
-    if (a.max(axis=0) <= 1e-30).any():
+    a = np.abs(w[..., :k_dl]) ** 2
+    if (a.max(axis=-2) <= 1e-30).any():
         raise ConfigurationError("all-zero precoder column (violates unit-norm precondition)")
     return a
 
 
 def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> np.ndarray:
-    """Sum-power-maximizing downlink allocation for a normalized precoder.
+    """Sum-power-maximizing downlink allocations for normalized precoders.
 
-    Returns p of length w.shape[1]: the LP maximizer over the first k_dl
-    entries, zeros for the dummy streams. Any vertex optimum is acceptable;
-    the optimal objective value is unique even when the optimizer is not.
+    w is one precoder [N_dl, R] or a stack [..., N_dl, R] of them. Returns
+    p of shape [..., R]: per precoder, the LP maximizer over the first k_dl
+    entries and zeros for the dummy streams, or a row of NaN if its simplex
+    failed; the other rows are unchanged by it. Any vertex optimum is
+    acceptable; the optimal objective value is unique even when the
+    optimizer is not.
     """
     a = _antenna_gains(w, k_dl)
-    x = _simplex_max(1.0, a, float(p_b))
-    p = np.zeros(w.shape[1])
-    p[:k_dl] = np.maximum(x, 0.0)
-    return p
+    x, status = _simplex_max(1.0, a.reshape(-1, *a.shape[-2:]), float(p_b))
+    p = np.zeros((len(x), np.shape(w)[-1]))
+    p[:, :k_dl] = np.maximum(x, 0.0)
+    p[status != SOLVED] = np.nan
+    return p.reshape(*np.shape(w)[:-2], np.shape(w)[-1])

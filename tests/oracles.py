@@ -2,12 +2,13 @@
 
 Each is the straightforward form of a computation the package does in a
 faster, array-shaped way: the per-matrix channel draw, the per-UE SINR
-loops with the baseline's per-node powers, the one-at-a-time UE drop, the
-row-by-row simplex and the simplex that picks its pivots with numpy calls,
-and two desk-scale power-allocation oracles (exact vertex enumeration for
-the LP and the concave log-sum objective it relaxes).
+loops with the baseline's per-node powers, the one-at-a-time UE drop, three
+per-matrix simplexes (row by row, with numpy pivots and with Python-float
+pivots), and two desk-scale power-allocation oracles (exact vertex
+enumeration for the LP and the concave log-sum objective it relaxes).
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -258,8 +259,8 @@ def simplex_max(c, a, b, tol=1e-11):
 def vectorised_simplex_max(c, a, b, tol=1e-11):
     """simplex_max with numpy calls for the pivot choice as well.
 
-    The package's simplex picks its pivots on Python floats; this is the
-    numpy form it replaced, which must give the same bytes or raise
+    per_matrix_simplex_max picks its pivots on Python floats; this is the
+    numpy form it replaced. Both must give the same bytes or raise
     NumericalError with the same message, non-finite entries included.
     """
     m, n = a.shape
@@ -287,6 +288,51 @@ def vectorised_simplex_max(c, a, b, tol=1e-11):
             raise NumericalError("simplex lost primal feasibility to rounding")
         leaving = ties[basis[ties].argmin()]
         t[leaving] /= t[leaving, entering]
+        factor = t[:, entering].copy()
+        factor[leaving] = 0.0
+        t -= factor[:, None] * t[leaving]
+        basis[leaving] = entering
+    raise NumericalError("simplex failed to converge")
+
+
+def per_matrix_simplex_max(c, a, b, tol=1e-11):
+    """The package's simplex on one LP, before it took a stack.
+
+    It picks each pivot on Python floats read with .tolist() and eliminates
+    with one numpy update. Each element of the stacked simplex must give its
+    bytes, or fail where it raises NumericalError, with the same message.
+    """
+    m, n = a.shape
+    t = np.zeros((m + 1, n + m + 1))
+    t[:m, :n] = a
+    t.reshape(-1)[n:n + m * (n + m + 2):n + m + 2] = 1.0  # the slack identity
+    t[:m, -1] = b
+    t[m, :n] = c
+    basis = list(range(n, n + m))
+    for _ in range(200 * (n + m + 1)):
+        for entering, r in enumerate(t[m, :n + m].tolist()):
+            if r > tol:  # first improving column
+                break
+        else:
+            x = np.zeros(n + m)
+            x[basis] = t[:m, -1]
+            return x[:n]
+        col = t[:m, entering].tolist()
+        rhs = t[:m, -1].tolist()
+        rows = [i for i, v in enumerate(col) if v > tol]
+        if not rows:
+            raise NumericalError("LP is unbounded")
+        ratios = [rhs[i] / col[i] for i in rows]
+        # a NaN ratio leaves no row within reach of the minimum
+        best = math.nan if any(map(math.isnan, ratios)) else min(ratios)
+        ties = [i for i, r in zip(rows, ratios) if r <= best + tol * (1.0 + best)]
+        if not ties:  # best < -1: rounding left a right-hand side negative
+            raise NumericalError("simplex lost primal feasibility to rounding")
+        leaving = min(ties, key=basis.__getitem__)
+        t[leaving] /= col[leaving]
+        # eliminate the entering column from every other row: the same
+        # products and differences as row by row, and rows whose factor is
+        # zero lose 0 * t[leaving], which is no change but a zero's sign
         factor = t[:, entering].copy()
         factor[leaving] = 0.0
         t -= factor[:, None] * t[leaving]

@@ -23,7 +23,8 @@ from dtddsim import (ChannelRealization, NumericalError, RadioParams,
                      drop_ues, generate_snapshot, jt_sinrs, path_loss_db, solve_power_lp,
                      v_ul, v_ul_max)
 from dtddsim.harness import _stack
-from dtddsim.power import _simplex_max
+from dtddsim.power import (LOST_FEASIBILITY, OUT_OF_PIVOTS, SOLVED, UNBOUNDED,
+                           _simplex_max)
 from dtddsim.snapshot import SnapshotGroup
 from dtddsim.topology import pairwise_distances
 
@@ -208,6 +209,13 @@ lp_entries = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
 non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
+# each failure exit of the stacked simplex, by the message the per-matrix
+# simplexes raise
+FAILURES = {"LP is unbounded": UNBOUNDED,
+            "simplex lost primal feasibility to rounding": LOST_FEASIBILITY,
+            "simplex failed to converge": OUT_OF_PIVOTS}
+
+
 def simplex_outcome(simplex, c, a, b):
     """The maximizer, or the type and message of the error the simplex raised."""
     try:
@@ -217,26 +225,32 @@ def simplex_outcome(simplex, c, a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), m=st.integers(1, 16), n=st.integers(1, 16), finite=st.booleans())
-def test_vectorised_simplex_matches_row_loop(data, m, n, finite):
-    # up to the sweep's largest LP, 16 antennas by 16 streams. The package's
-    # Python-float pivots must match the numpy-pivot reference byte for
-    # byte, and fail the same way on non-finite entries
+@given(data=st.data(), size=st.integers(1, 5), m=st.integers(1, 16), n=st.integers(1, 16),
+       finite=st.booleans())
+def test_vectorised_simplex_matches_row_loop(data, size, m, n, finite):
+    # stacks of up to 5 LPs of one shape, up to the sweep's largest LP, 16
+    # antennas by 16 streams. Each element of the stacked simplex must give
+    # the per-matrix references' bytes, or fail where they raise, with the
+    # status of their message, non-finite entries included
     entries = lp_entries if finite else lp_entries | non_finite
-    a = data.draw(arrays(float, (m, n), elements=entries))
-    b = data.draw(arrays(float, m, elements=st.sampled_from([0.0, 0.1, 1.0])
+    a = data.draw(arrays(float, (size, m, n), elements=entries))
+    b = data.draw(arrays(float, (size, m), elements=st.sampled_from([0.0, 0.1, 1.0])
                          | st.floats(0.0, 1.0) | (st.nothing() if finite else non_finite)))
-    c = data.draw(st.sampled_from([np.ones(n)]) | arrays(float, n, elements=entries))
+    c = data.draw(st.sampled_from([np.ones((size, n))])
+                  | arrays(float, (size, n), elements=entries))
     with np.errstate(all="ignore"):  # inf - inf and the like in the elimination
-        got = simplex_outcome(_simplex_max, c, a, b)
-        want = simplex_outcome(oracles.vectorised_simplex_max, c, a, b)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
-    if finite:
-        loop = simplex_outcome(oracles.simplex_max, c, a, b)
-        if isinstance(loop, tuple):
-            assert isinstance(got, tuple) and got[1] == loop[1]
-        else:  # the row loop skips zero factors, so it may keep a zero's sign
-            np.testing.assert_array_equal(got, loop)
+        x, status = _simplex_max(c, a, b)
+        for i in range(size):
+            assert status[i] == SOLVED or np.isnan(x[i]).all()
+            for reference in (oracles.per_matrix_simplex_max, oracles.vectorised_simplex_max):
+                want = simplex_outcome(reference, c[i], a[i], b[i])
+                if isinstance(want, tuple):
+                    assert want[0] is NumericalError and status[i] == FAILURES[want[1]]
+                else:
+                    assert status[i] == SOLVED and x[i].tobytes() == want.tobytes()
+            if finite:
+                loop = simplex_outcome(oracles.simplex_max, c[i], a[i], b[i])
+                if isinstance(loop, tuple):
+                    assert status[i] == FAILURES[loop[1]]
+                else:  # the row loop skips zero factors, so it may keep a zero's sign
+                    np.testing.assert_array_equal(x[i], loop)

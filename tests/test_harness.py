@@ -201,11 +201,18 @@ def test_failed_snapshots_are_flagged_and_excluded(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("module, name, error", [
-    (harness, "solve_power_lp", NumericalError("LP is unbounded")),
+    (harness, "solve_power_lp", NumericalError("simplex lost primal feasibility to rounding")),
     (np.linalg, "svd", np.linalg.LinAlgError("SVD did not converge")),  # in zf_precoder
 ])
 def test_numerical_failures_are_flagged_and_excluded(monkeypatch, module, name, error):
+    original = getattr(module, name)
+
     def failing(*args, **kwargs):
+        if isinstance(error, NumericalError):
+            # the stacked LP does not raise: NaN bounds leave each element no
+            # ratio-test row, and every element comes back as a NaN row
+            w, _, k_dl = args
+            return original(w, np.nan, k_dl)
         raise error
 
     monkeypatch.setattr(module, name, failing)
@@ -341,19 +348,27 @@ def test_records_sorted_by_scheme_then_point():
 def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed,
                                               snapshots, fail):
     # each row of the table, bit for bit, against the per-snapshot reference,
-    # over sweeps of one or several chunks of one or several tasks; the power
-    # LP fails never, always (every precoded evaluation is a failed row) or
-    # only with dummy streams (failed and clean evaluations share a chunk)
-    original = harness.solve_power_lp
+    # over sweeps of one or several chunks of one or several tasks. Evaluations
+    # fail never, always (the power LP returns every element as a NaN row, so
+    # every precoded evaluation is a failed row) or only with dummy streams
+    # (their precoder raises; failed and clean evaluations share a chunk)
+    original_lp, original_precoder = harness.solve_power_lp, harness.build_precoder
 
     def failing_lp(w, p_b_max_w, k_dl):
-        if fail == "always" or (fail == "dummies" and w.shape[1] > k_dl):
+        p = original_lp(w, p_b_max_w, k_dl)
+        if fail == "always":
+            p[:] = np.nan
+        return p
+
+    def failing_precoder(snap, chan, v, base):
+        if fail == "dummies" and v > 0:
             raise NumericalError("forced by test")
-        return original(w, p_b_max_w, k_dl)
+        return original_precoder(snap, chan, v, base)
 
     cfg = small_config(utilizations=tuple(utilizations), schemes=tuple(schemes),
                        delta=delta, snapshots_per_point=snapshots, master_seed=seed)
     with mock.patch.object(harness, "solve_power_lp", failing_lp), \
+            mock.patch.object(harness, "build_precoder", failing_precoder), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the failure-rate warning
         records = run_sweep(cfg).records
@@ -382,8 +397,9 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # counted where the benchmark's trace wraps them (sweepbench/spans.py),
     # whose per-call counters read one 2-D M per zf_precoder call, the three
     # positional arguments of solve_power_lp and the len of drop_ues's result;
-    # the SINR and rate kernels take a shape group's snapshots stacked on a
-    # leading axis, so they are counted in snapshots as well as in calls
+    # the SINR and rate kernels and the power LP take a shape group's
+    # snapshots stacked on a leading axis, so they are counted in snapshots
+    # (LPs) as well as in calls
     calls, stacked, shapes, log = Counter(), Counter(), set(), []
     for module, name in [(snapshot_module, "drop_ues"), (harness, "generate_snapshot"),
                          (harness, "build_channel_realization"),
@@ -399,6 +415,7 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
                 shapes.add((_name, np.ndim(args[0])))
             elif _name == "solve_power_lp":
                 shapes.add((_name, len(args), tuple(kwargs)))
+                stacked[_name] += len(args[0])
             elif _name == "drop_ues":
                 shapes.add((_name, len(result)))
             elif _name in ("baseline_sinrs", "jt_sinrs"):
@@ -417,15 +434,18 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     assert 0 < len(with_dummies) <= 10
     for name in ("drop_ues", "generate_snapshot", "build_channel_realization"):
         assert calls[name] == 20
-    for name in ("assemble_m", "zf_precoder", "solve_power_lp"):
+    for name in ("assemble_m", "zf_precoder"):
         assert calls[name] == calls["build_precoder"]
-    assert stacked["jt_sinrs"] == calls["build_precoder"]
+    for name in ("solve_power_lp", "jt_sinrs"):
+        assert stacked[name] == calls["build_precoder"]
     # one per distinct key: the baseline's, JT's and JT-DS's when it has dummies
     assert stacked["snapshot_metrics"] == 20 + calls["build_precoder"]
     # the 20 tasks make one chunk, whose shape groups hold several snapshots
     assert stacked["most"] > 1
-    for name in ("baseline_sinrs", "jt_sinrs", "snapshot_metrics"):
+    for name in ("baseline_sinrs", "solve_power_lp", "jt_sinrs", "snapshot_metrics"):
         assert calls[name] < stacked[name]
+    # one LP call per shape group, each of which makes one baseline_sinrs call
+    assert calls["solve_power_lp"] <= calls["baseline_sinrs"]
     # K = 8 UEs at u = 0.5 and 16 at u = 1.0
     assert shapes == {("zf_precoder", 2), ("solve_power_lp", 3, ()),
                       ("drop_ues", 8), ("drop_ues", 16)}
@@ -466,14 +486,14 @@ def test_shared_evaluations_change_no_number(seed, utilization, delta, traffic):
 def test_failure_fails_only_its_own_evaluation(monkeypatch):
     cfg = small_config(utilizations=(0.5, 1.0), snapshots_per_point=10)
     clean = run_sweep(cfg)
-    original = harness.solve_power_lp
+    original = harness.build_precoder
 
-    def fails_with_dummy_streams(w, p_b_max_w, k_dl):
-        if w.shape[1] > k_dl:
+    def fails_with_dummy_streams(snap, chan, v, base):
+        if v > 0:
             raise NumericalError("forced by test")
-        return original(w, p_b_max_w, k_dl)
+        return original(snap, chan, v, base)
 
-    monkeypatch.setattr(harness, "solve_power_lp", fails_with_dummy_streams)
+    monkeypatch.setattr(harness, "build_precoder", fails_with_dummy_streams)
     with pytest.warns(RuntimeWarning, match="failed"):
         res = run_sweep(cfg)
     # failed records keep the V_ul their evaluation attempted
@@ -490,18 +510,19 @@ def test_failure_fails_only_its_own_evaluation(monkeypatch):
 
 
 def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch):
-    # the LP fails on about half of the precoded jobs, so shape groups mix
-    # masked rows (zero powers, read as failed) with evaluated ones in their
-    # stacked SINR and rate calls; the 50 tasks make one chunk, so each
-    # (k_dl, k_ul) is one group
+    # the LP fails on about half of the precoded jobs (their elements of the
+    # stacked LP come back as NaN rows), so shape groups mix masked rows
+    # (zero powers, read as failed) with evaluated ones in their stacked SINR
+    # and rate calls; the 50 tasks make one chunk, so each (k_dl, k_ul) is
+    # one group
     cfg = small_config(snapshots_per_point=25)
     clean = run_sweep(cfg).records
     original = harness.solve_power_lp
 
     def fails_on_half(w, p_b_max_w, k_dl):
-        if w[0, 0].real > 0:
-            raise NumericalError("forced by test")
-        return original(w, p_b_max_w, k_dl)
+        p = original(w, p_b_max_w, k_dl)
+        p[w[:, 0, 0].real > 0] = np.nan
+        return p
 
     monkeypatch.setattr(harness, "solve_power_lp", fails_on_half)
     with pytest.warns(RuntimeWarning, match="failed"):

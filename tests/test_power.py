@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dtddsim import ConfigurationError, NumericalError, solve_power_lp
-from dtddsim.power import _antenna_gains, _simplex_max
+from dtddsim import ConfigurationError, SimulationConfig, harness, run_sweep, solve_power_lp
+from dtddsim.harness import SCHEMES
+from dtddsim.power import (LOST_FEASIBILITY, SOLVED, UNBOUNDED, _antenna_gains,
+                           _simplex_max)
 
 from conftest import random_scene, unit_columns
-from oracles import baseline_powers, log_objective_oracle, power_lp_oracle
+from oracles import (baseline_powers, log_objective_oracle, per_matrix_simplex_max,
+                     power_lp_oracle)
 
 P_B = 0.1
 
@@ -84,21 +87,56 @@ def test_zero_column_rejected():
         power_lp_oracle(w, P_B, 1)
 
 
-def test_simplex_reports_lost_feasibility():
+def lost_feasibility_lp():
     # the pivot on 2^-23 leaves row 0's right-hand side at -eps * 2^23, so the
     # next ratio test's minimum is about -2 and its tie band [best, best +
     # tol * (1 + best)] holds no row; this used to escape as a ValueError
     eps = np.finfo(float).eps
     a = np.full((4, 7), eps)
     a[3, :2] = 2.0 ** -23, -0.5
-    b = np.array([0.0, 1.0, 1.0, 1.0])
-    with pytest.raises(NumericalError, match="lost primal feasibility"):
-        _simplex_max(np.ones(7), a, b)
+    return a, np.array([0.0, 1.0, 1.0, 1.0])
+
+
+def test_simplex_reports_lost_feasibility():
+    a, b = lost_feasibility_lp()
+    x, status = _simplex_max(np.ones(7), a[None], b)
+    assert status.tolist() == [LOST_FEASIBILITY]
+    assert np.isnan(x).all()
 
 
 def test_simplex_detects_unbounded():
-    with pytest.raises(NumericalError, match="unbounded"):
-        _simplex_max(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]))
+    x, status = _simplex_max(np.array([1.0]), np.array([[[-1.0]]]), np.array([1.0]))
+    assert status.tolist() == [UNBOUNDED]
+    assert np.isnan(x).all()
+
+
+def test_failed_elements_leave_the_rest_of_the_stack_unchanged():
+    # a stack of one solvable LP, the lost-feasibility LP, an unbounded one
+    # (its first column has no entry > tol) and another solvable LP: each
+    # solved element has the bytes it has alone, and pivots past the others
+    rng = np.random.default_rng(11)
+    lost, b_lost = lost_feasibility_lp()
+    unbounded = -rng.random((4, 7))
+    a = np.stack([rng.random((4, 7)), lost, unbounded, rng.random((4, 7))])
+    b = np.stack([np.full(4, P_B), b_lost, np.full(4, P_B), np.full(4, P_B)])
+    x, status = _simplex_max(np.ones(7), a, b)
+    assert status.tolist() == [SOLVED, LOST_FEASIBILITY, UNBOUNDED, SOLVED]
+    assert np.isnan(x[1:3]).all()
+    for i in (0, 3):
+        alone, solved = _simplex_max(np.ones(7), a[i:i + 1], b[i])
+        assert solved.tolist() == [SOLVED]
+        assert x[i].tobytes() == alone[0].tobytes() == per_matrix_simplex_max(
+            np.ones(7), a[i], b[i]).tobytes()
+
+
+def test_ratio_test_ties_leave_by_the_smallest_basis_index():
+    # a degenerate LP whose ratio tests tie rows whose basis indices are not
+    # in row order: leaving by the first tied row instead of the smallest
+    # basis index takes other pivots and ends one ulp off in x
+    a = np.array([[2.0, 1.0, 0.0], [2.0, 0.5, 2.0], [2.0, 2.0, 0.5]])
+    x, status = _simplex_max(np.ones(3), a[None], np.ones(3))
+    assert status.tolist() == [SOLVED]
+    assert x[0].tobytes() == per_matrix_simplex_max(np.ones(3), a, np.ones(3)).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,6 +159,34 @@ def test_lp_matches_highs_at_full_size(seed, n_rows, data, p_b):
                                            "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
     assert abs(p.sum() + ref.fun) <= 1e-9 * -ref.fun
+
+
+def test_every_sweep_lp_matches_highs(monkeypatch):
+    # every LP of a paper-grid sweep, 8 x 10 snapshots, as the SINR layer
+    # receives its powers: at delta = 0 JT's and JT-DS's, at delta = 2
+    # JT-DS's (JT's are the same LPs). Feasible, zero dummy powers, and
+    # within 1e-9 of the objective of an independent solver
+    seen = []
+    original = harness.jt_sinrs
+
+    def recorded(group, chan, params, w, p):
+        seen.extend((group.dl_ues.shape[1], params.p_b_max_w, *pair) for pair in zip(w, p))
+        return original(group, chan, params, w, p)
+
+    monkeypatch.setattr(harness, "jt_sinrs", recorded)
+    for delta, schemes in ((0, SCHEMES), (2, ("jt_ds",))):
+        config = SimulationConfig(snapshots_per_point=10, delta=delta, schemes=schemes)
+        assert not run_sweep(config).records.failed.any()
+    assert len(seen) > 200 and any(len(p) > k_dl for k_dl, _, _, p in seen)
+    for k_dl, p_b, w, p in seen:
+        a = np.abs(w[:, :k_dl]) ** 2
+        assert np.all(p >= 0) and np.all(p[k_dl:] == 0)
+        assert np.all(a @ p[:k_dl] <= p_b * (1 + 1e-12))
+        ref = linprog(-np.ones(k_dl), A_ub=a, b_ub=np.full(len(a), p_b), bounds=(0, None),
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        assert ref.status == 0
+        assert abs(p.sum() + ref.fun) <= 1e-9 * -ref.fun
 
 
 def test_log_oracle_single_variable_matches_lp():
