@@ -1,9 +1,9 @@
 """Propagation model: WINNER II A1 LOS path loss, Rayleigh fading, thermal noise.
 
 One ChannelRealization holds every complex coefficient a snapshot needs:
-BS-to-UE, BS-to-BS, UE-to-UE and UE-to-BS links. Each (transmitter,
-receiver) pair gets exactly one independent fading draw per snapshot; no
-reciprocity is assumed.
+BS-to-UE, BS-to-BS, UE-to-UE and UE-to-BS links; a shape group's are drawn
+at once, stacked on a leading axis. Each (transmitter, receiver) pair gets
+exactly one independent fading draw per snapshot; no reciprocity is assumed.
 """
 
 import math
@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .exceptions import ConfigurationError, check_field_types
-from .topology import D_MAX_M, D_MIN_M, Topology, pairwise_distances
+from .topology import D_MAX_M, D_MIN_M, Topology
 
 THERMAL_NOISE_DBM_HZ = -174.0
 
@@ -43,7 +43,7 @@ class RadioParams:
 
 @dataclass
 class ChannelRealization:
-    """All complex channel coefficients for one snapshot.
+    """All complex channel coefficients for one snapshot (a group stacks each on axis 0).
 
     h_dl: [K_dl, N_dl] downlink UE i  <-  downlink BS n
     f_bs: [N_ul, N_dl] uplink BS b(j) <-  downlink BS n (BS-to-BS)
@@ -104,34 +104,42 @@ def draw_channel(path_loss, rng: np.random.Generator):
 
 
 def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
-                              rng: np.random.Generator) -> ChannelRealization:
-    """Draw all four coefficient matrices for one snapshot.
+                              rng) -> ChannelRealization:
+    """Draw all four coefficient matrices of one snapshot, or of each member of a group.
 
-    One distance table covers every pair of nodes (UEs, then BSs). Each
-    matrix gathers its entries from it, in a fixed order: h_dl, f_bs, g_ue,
-    h_ul. One path-loss evaluation and one normal draw cover all four, the
-    normals laid out as draw_channel on each matrix in that order would
-    draw them: per matrix, its real parts, then its imaginary parts. A
-    given (snapshot, stream state) pair therefore always produces the
-    identical realization. The four matrices cover disjoint (tx, rx) pair
-    types, so every physical pair is drawn exactly once.
+    Takes one Snapshot with one Generator, or a SnapshotGroup with one
+    Generator per member, whose matrices gain the group's leading axis.
+    Each member makes one normal draw from its own stream, laid out as
+    draw_channel on each matrix in the order h_dl, f_bs, g_ue, h_ul would
+    draw it: per matrix, its real parts, then its imaginary parts.
+    Distances, path loss and fading run once over the group, elementwise,
+    so a (snapshot, stream state) pair gives the identical realization in
+    any group. The four matrices cover disjoint (tx, rx) pair types, so
+    every physical pair is drawn exactly once.
     """
-    k = snapshot.k
-    nodes = np.concatenate([snapshot.ue_placement.positions, topology.bs_positions])
-    d = pairwise_distances(nodes, nodes)
-    dl_bs, ul_bs = k + snapshot.n_dl, k + snapshot.ul_bs
-    blocks = [d[rows[:, None], cols]
-              for rows, cols in ((snapshot.dl_ues, dl_bs),            # h_dl
-                                 (ul_bs, dl_bs),                      # f_bs
-                                 (snapshot.dl_ues, snapshot.ul_ues),  # g_ue
-                                 (snapshot.ul_ues, ul_bs))]           # h_ul
-    bounds = list(accumulate((b.size for b in blocks), initial=0))
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    b = len(rngs)
+    ues = snapshot.positions.reshape(-1, 2)
+    first = np.arange(0, len(ues), len(ues) // b)[:, None]  # each member's UE 0
+    dl_ue, ul_ue = (ues[first + idx.reshape(b, idx.shape[-1])]
+                    for idx in (snapshot.dl_ues, snapshot.ul_ues))
+    dl_bs, ul_bs = (topology.bs_positions[idx.reshape(b, idx.shape[-1])]
+                    for idx in (snapshot.n_dl, snapshot.ul_bs))
+    blocks = ((dl_ue, dl_bs), (ul_bs, dl_bs), (dl_ue, ul_ue), (ul_ue, ul_bs))  # (rows, cols)
+    bounds = list(accumulate((rows.shape[1] * cols.shape[1] for rows, cols in blocks), initial=0))
     ranges = list(zip(bounds, bounds[1:]))
-    normals = rng.standard_normal(2 * bounds[-1])
-    re, im = np.concatenate([normals[2 * lo:2 * hi].reshape(2, -1) for lo, hi in ranges],
-                            axis=1)
-    pl = path_loss_db(np.concatenate(blocks, axis=None), params.carrier_freq_ghz)
+    # each block's [B, rows, cols, 2] position differences, summed as pairwise_distances does
+    squares = np.concatenate([r[:, :, None] - c[:, None] for r, c in blocks], axis=None) ** 2
+    pl = path_loss_db(np.sqrt(squares[0::2] + squares[1::2]), params.carrier_freq_ghz)
+    normals = np.empty((b, 2 * bounds[-1]))
+    for member, stream in zip(normals, rngs):
+        stream.standard_normal(out=member)
+    # block-major: each block's members in turn, so each block is contiguous
+    re, im = np.concatenate([normals[:, 2 * lo:2 * hi].reshape(b, 2, hi - lo).swapaxes(0, 1)
+                             .reshape(2, b * (hi - lo)) for lo, hi in ranges], axis=1)
+    del squares, normals  # freed before the fading's temporaries: a group's arrays are large
     gains = _fading(pl, re, im)
-    h_dl, f_bs, g_ue, h_ul = (gains[lo:hi].reshape(b.shape)
-                              for (lo, hi), b in zip(ranges, blocks))
+    h_dl, f_bs, g_ue, h_ul = (gains[b * lo:b * hi].reshape(rows.shape[single:2] + cols.shape[1:2])
+                              for (lo, hi), (rows, cols) in zip(ranges, blocks))
     return ChannelRealization(h_dl=h_dl, f_bs=f_bs, g_ue=g_ue, h_ul=h_ul)

@@ -135,25 +135,31 @@ def derive_stream(master_seed: int, utilization_index: int,
 
 
 def _realize(config: SimulationConfig, topology: Topology, tasks):
-    """The snapshots and channels of the (utilization, snapshot) tasks, in task order.
+    """The tasks' snapshots, in task order, and their (members, group, channels) shape groups.
 
     Each task draws from its own stream, first its snapshot, then its
-    channel; the chunk makes all streams, then all snapshots, then all
-    channels.
+    channel; the chunk makes all streams, then all snapshots, then one
+    channel draw per group of snapshots whose four blocks have the same
+    shapes (with one UE per BS, one (K_dl, K_ul) pair), into stacked blocks.
     """
     rngs = [derive_stream(config.master_seed, u_idx, s_idx) for u_idx, s_idx in tasks]
     snaps = [generate_snapshot(topology, config.utilizations[u_idx], config.traffic, rng)
              for (u_idx, _), rng in zip(tasks, rngs)]
-    chans = [build_channel_realization(snap, topology, config.radio, rng)
-             for snap, rng in zip(snaps, rngs)]
-    return snaps, chans
+    shapes = {}
+    for i, snap in enumerate(snaps):
+        shapes.setdefault((snap.k_dl, snap.n_dl_count, snap.k_ul, snap.n_ul_count), []).append(i)
+    groups = [(members, _stack(SnapshotGroup, [snaps[i] for i in members]))
+              for members in shapes.values()]
+    return snaps, [(members, group, build_channel_realization(
+        group, topology, config.radio, [rngs[i] for i in members]))
+        for members, group in groups]
 
 
 def realize_point(config: SimulationConfig, topology: Topology,
                   utilization_index: int, snapshot_index: int):
     """Generate the shared (snapshot, channel) pair for one sweep task."""
-    snaps, chans = _realize(config, topology, [(utilization_index, snapshot_index)])
-    return snaps[0], chans[0]
+    (snap,), [(_, _, chan)] = _realize(config, topology, [(utilization_index, snapshot_index)])
+    return snap, _row(chan, 0)
 
 
 def _v_ul_key(scheme: str, snap, delta: int):
@@ -173,32 +179,31 @@ def _stack(cls, items):
                  for f in dataclasses.fields(cls)))
 
 
-def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> list:
-    """evaluate_snapshot on each (snapshot, channel) pair, one layer at a time.
+def _row(stacked, row):
+    """The row-th member of a dataclass whose every field is stacked on a leading axis."""
+    return type(stacked)(*(getattr(stacked, f.name)[row] for f in dataclasses.fields(stacked)))
 
-    Snapshots whose four channel blocks have the same shapes (with one UE
-    per BS, one (K_dl, K_ul) pair) form a group: one baseline_sinrs call
-    and one evaluation per V_ul key, whose rows fill stacked W and p.
-    Every row's precoder runs, then one power LP call per group over the
-    rows of all its precoded keys (dummy columns carry no powers, so each
-    is an LP over the K_dl data columns), then each evaluation's jt_sinrs
-    and snapshot_metrics over its whole group, so each layer spans the
-    chunk. A precoder's NumericalError or an LP's NaN row clears its own
-    row of the ok mask; the row's zero W or p gives finite SINRs, which
+
+def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int) -> list:
+    """evaluate_snapshot on each snapshot of _realize's shape groups, one layer at a time.
+
+    Each group makes one baseline_sinrs call and one evaluation per V_ul
+    key, whose rows fill stacked W and p. Every row's precoder runs, on
+    its row of the group's channels, then one power LP call per group over
+    the rows of all its precoded keys (dummy columns carry no powers, so
+    each is an LP over the K_dl data columns), then each evaluation's
+    jt_sinrs and snapshot_metrics over its whole group, so each layer spans
+    the chunk. A precoder's NumericalError or an LP's NaN row clears its
+    own row of the ok mask; the row's zero W or p gives finite SINRs, which
     read None.
     """
-    shapes = {}
-    for i, chan in enumerate(chans):
-        shapes.setdefault(chan.h_dl.shape + chan.h_ul.shape, []).append(i)
     keys = {}  # per snapshot, {scheme: V_ul key}
     evaluations = []  # (members, V_ul key, group, channels, SINRs, W, p, ok)
     lps = []  # per shape group with precoded keys: K_dl and their (W, p, ok)
-    for members in shapes.values():
+    for members, group, chan in groups:
         snap = snaps[members[0]]
         group_keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
         keys.update(dict.fromkeys(members, group_keys))
-        group = _stack(SnapshotGroup, [snaps[i] for i in members])
-        chan = _stack(ChannelRealization, [chans[i] for i in members])
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
                 if any(v is None or v > 0 for v in group_keys.values()) else None)
@@ -213,10 +218,10 @@ def _evaluate_chunk(snaps, chans, params: RadioParams, schemes, delta: int) -> l
         if precoded:
             lps.append((snap.k_dl, precoded))
 
-    for members, v, _, _, base, w, _, ok in evaluations:
+    for members, v, _, chan, base, w, _, ok in evaluations:
         for row, i in enumerate(members if v is not None else ()):
             try:
-                w[row] = build_precoder(snaps[i], chans[i], v, base[row] if v else None)[0]
+                w[row] = build_precoder(snaps[i], _row(chan, row), v, base[row] if v else None)[0]
             except NumericalError:
                 ok[row] = False
     for k_dl, precoded in lps:
@@ -258,13 +263,14 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
     failed power LP fails only its own key. This is the sweep's evaluation of
     a chunk of one snapshot.
     """
-    return _evaluate_chunk([snap], [chan], params, schemes, delta)[0]
+    group = ([0], _stack(SnapshotGroup, [snap]), _stack(ChannelRealization, [chan]))
+    return _evaluate_chunk([snap], [group], params, schemes, delta)[0]
 
 
 def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarray:
     """RECORD_DTYPE rows of every configured scheme on each task, in task order."""
-    snaps, chans = _realize(config, topology, tasks)
-    evaluations = _evaluate_chunk(snaps, chans, config.radio, config.schemes, config.delta)
+    snaps, groups = _realize(config, topology, tasks)
+    evaluations = _evaluate_chunk(snaps, groups, config.radio, config.schemes, config.delta)
     rows = []
     for (u_idx, s_idx), snap, evaluation in zip(tasks, snaps, evaluations):
         for scheme, (v, m) in evaluation.items():

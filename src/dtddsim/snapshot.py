@@ -68,6 +68,10 @@ class Snapshot:
         return len(self.ue_placement)
 
     @property
+    def positions(self) -> np.ndarray:
+        return self.ue_placement.positions
+
+    @property
     def k_dl(self) -> int:
         return len(self.dl_ues)
 
@@ -93,14 +97,16 @@ class Snapshot:
 class SnapshotGroup:
     """Snapshots of one partition shape, each index array stacked on a leading axis.
 
-    The SINR and rate kernels read these fields as they read one Snapshot's,
-    so a group of B snapshots takes one call where B snapshots take B.
+    The channel draw and the SINR and rate kernels read these fields as one
+    Snapshot's, so a group of B snapshots takes one call where B take B.
     """
 
+    positions: np.ndarray  # [B, K, 2]
     dl_ues: np.ndarray  # [B, K_dl]
     ul_ues: np.ndarray  # [B, K_ul]
     dl_bs: np.ndarray   # [B, K_dl]
     n_dl: np.ndarray    # [B, N_dl]
+    ul_bs: np.ndarray   # [B, K_ul]
 
 
 def traffic_load(utilization: float, n_bs: int, traffic: TrafficConfig) -> int:

@@ -135,8 +135,8 @@ def test_c04_included_bs_uplink_dominance():
     checked = 0
     for seed in range(1000):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        _, jt = evaluate_snapshot(snap, chan, params, ("jt",))["jt"]
-        _, jt_ds = evaluate_snapshot(snap, chan, params, ("jt_ds",))["jt_ds"]
+        evaluation = evaluate_snapshot(snap, chan, params, ("jt", "jt_ds"))
+        (_, jt), (_, jt_ds) = evaluation["jt"], evaluation["jt_ds"]
         base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
         _, ul_rows = build_precoder(snap, chan, v, base)

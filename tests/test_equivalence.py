@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import oracles
 from conftest import random_scene
 from dtddsim import (ChannelRealization, NumericalError, RadioParams,
-                     SingularChannelError, TrafficConfig, baseline_sinrs,
+                     SingularChannelError, Snapshot, TrafficConfig, baseline_sinrs,
                      build_channel_realization, build_grid, build_precoder, draw_channel,
                      drop_ues, generate_snapshot, jt_sinrs, path_loss_db, solve_power_lp,
                      v_ul, v_ul_max)
@@ -187,6 +187,43 @@ def test_one_pass_realization_matches_per_matrix_oracle(topology, seed, data,
         assert (a.shape, a.dtype) == (b.shape, b.dtype), name
         assert a.tobytes() == b.tobytes(), name
     assert_same_stream(*rngs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(topology=topologies(), seed=seeds, data=st.data(),
+       dl_probability=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+       carrier_freq_ghz=st.sampled_from([2.0, 3.5, 5.0]))
+def test_stacked_draw_matches_each_members_own_draw(topology, seed, data, dl_probability,
+                                                     carrier_freq_ghz):
+    # a shape group's draw, one stream per member, against each member's own
+    # call: the same bytes per block and the same final stream state, whatever
+    # the member's place in the stack or its stream's state before the draw.
+    # Members share (K_dl, K_ul), each with its own drop and direction order;
+    # dl_probability 0 and 1 give K_dl = 0 and K_ul = 0: empty blocks
+    k = data.draw(st.integers(1, quick_drop_limit(topology)))
+    size = data.draw(st.integers(1, 6))
+    pre_draws = data.draw(st.lists(st.sampled_from([None, "uint32", "double"]),
+                                   min_size=size, max_size=size))
+    traffic = TrafficConfig(dl_probability=dl_probability, require_mixed_traffic=False)
+    rng = np.random.default_rng(seed)
+    first = generate_snapshot(topology, k / topology.n_bs, traffic, rng)
+    snaps = [first] + [Snapshot(drop_ues(topology, k, rng), rng.permutation(first.is_downlink),
+                                topology.n_bs) for _ in range(size - 1)]
+    params = RadioParams(carrier_freq_ghz=carrier_freq_ghz)
+    streams = []
+    for _ in range(2):
+        streams.append([np.random.default_rng(seed + 1 + i) for i in range(size)])
+        for member, pre_draw in zip(streams[-1], pre_draws):
+            pre_draw_from(member, pre_draw)
+    stacked = build_channel_realization(_stack(SnapshotGroup, snaps), topology, params,
+                                        streams[0])
+    for row, (snap, member) in enumerate(zip(snaps, streams[1])):
+        alone = build_channel_realization(snap, topology, params, member)
+        for name in ("h_dl", "f_bs", "g_ue", "h_ul"):
+            a, b = getattr(stacked, name), getattr(alone, name)
+            assert (a.shape, a.dtype) == ((size, *b.shape), b.dtype), name
+            assert a[row].tobytes() == b.tobytes(), (row, name)
+        assert_same_stream(streams[0][row], member)
 
 
 @settings(max_examples=100, deadline=None)

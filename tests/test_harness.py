@@ -397,9 +397,10 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # counted where the benchmark's trace wraps them (sweepbench/spans.py),
     # whose per-call counters read one 2-D M per zf_precoder call, the three
     # positional arguments of solve_power_lp and the len of drop_ues's result;
-    # the SINR and rate kernels and the power LP take a shape group's
-    # snapshots stacked on a leading axis, so they are counted in snapshots
-    # (LPs) as well as in calls
+    # the channel draw, the SINR and rate kernels and the power LP take a
+    # shape group's snapshots stacked on a leading axis (the draw with one
+    # stream per member), so they are counted in snapshots (LPs) as well as
+    # in calls
     calls, stacked, shapes, log = Counter(), Counter(), set(), []
     for module, name in [(snapshot_module, "drop_ues"), (harness, "generate_snapshot"),
                          (harness, "build_channel_realization"),
@@ -418,6 +419,8 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
                 stacked[_name] += len(args[0])
             elif _name == "drop_ues":
                 shapes.add((_name, len(result)))
+            elif _name == "build_channel_realization":
+                stacked[_name] += len(args[3])
             elif _name in ("baseline_sinrs", "jt_sinrs"):
                 stacked[_name] += len(result)
                 stacked["most"] = max(stacked["most"], len(result))
@@ -432,8 +435,9 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     assert stacked["baseline_sinrs"] == 20
     assert calls["build_precoder"] == 20 + len(with_dummies)
     assert 0 < len(with_dummies) <= 10
-    for name in ("drop_ues", "generate_snapshot", "build_channel_realization"):
+    for name in ("drop_ues", "generate_snapshot"):
         assert calls[name] == 20
+    assert stacked["build_channel_realization"] == 20
     for name in ("assemble_m", "zf_precoder"):
         assert calls[name] == calls["build_precoder"]
     for name in ("solve_power_lp", "jt_sinrs"):
@@ -442,7 +446,8 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     assert stacked["snapshot_metrics"] == 20 + calls["build_precoder"]
     # the 20 tasks make one chunk, whose shape groups hold several snapshots
     assert stacked["most"] > 1
-    for name in ("baseline_sinrs", "solve_power_lp", "jt_sinrs", "snapshot_metrics"):
+    for name in ("build_channel_realization", "baseline_sinrs", "solve_power_lp",
+                 "jt_sinrs", "snapshot_metrics"):
         assert calls[name] < stacked[name]
     # one LP call per shape group, each of which makes one baseline_sinrs call
     assert calls["solve_power_lp"] <= calls["baseline_sinrs"]
