@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .exceptions import ConfigurationError, check_field_types
-from .topology import D_MAX_M, D_MIN_M, Topology
+from .topology import D_MAX_M, D_MIN_M, Topology, pairwise_distances
 
 THERMAL_NOISE_DBM_HZ = -174.0
 
@@ -129,16 +129,15 @@ def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
     blocks = ((dl_ue, dl_bs), (ul_bs, dl_bs), (dl_ue, ul_ue), (ul_ue, ul_bs))  # (rows, cols)
     bounds = list(accumulate((rows.shape[1] * cols.shape[1] for rows, cols in blocks), initial=0))
     ranges = list(zip(bounds, bounds[1:]))
-    # each block's [B, rows, cols, 2] position differences, summed as pairwise_distances does
-    squares = np.concatenate([r[:, :, None] - c[:, None] for r, c in blocks], axis=None) ** 2
-    pl = path_loss_db(np.sqrt(squares[0::2] + squares[1::2]), params.carrier_freq_ghz)
+    dist = np.concatenate([pairwise_distances(rows, cols) for rows, cols in blocks], axis=None)
+    pl = path_loss_db(dist, params.carrier_freq_ghz)
     normals = np.empty((b, 2 * bounds[-1]))
     for member, stream in zip(normals, rngs):
         stream.standard_normal(out=member)
     # block-major: each block's members in turn, so each block is contiguous
     re, im = np.concatenate([normals[:, 2 * lo:2 * hi].reshape(b, 2, hi - lo).swapaxes(0, 1)
                              .reshape(2, b * (hi - lo)) for lo, hi in ranges], axis=1)
-    del squares, normals  # freed before the fading's temporaries: a group's arrays are large
+    del dist, normals  # freed before the fading's temporaries: a group's arrays are large
     gains = _fading(pl, re, im)
     h_dl, f_bs, g_ue, h_ul = (gains[b * lo:b * hi].reshape(rows.shape[single:2] + cols.shape[1:2])
                               for (lo, hi), (rows, cols) in zip(ranges, blocks))

@@ -13,16 +13,16 @@ D_MAX_M = 100.0
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between two point sets.
+    """Euclidean distance matrix between two point sets, or between each pair of a stack.
 
     Args:
-        a: [P, 2] coordinates in meters
-        b: [Q, 2] coordinates in meters
+        a: [..., P, 2] coordinates in meters
+        b: [..., Q, 2] coordinates in meters, leading axes as a's
     Returns:
-        [P, Q] distances in meters
+        [..., P, Q] distances in meters
     """
-    dx = a[:, 0, None] - b[:, 0]
-    dy = a[:, 1, None] - b[:, 1]
+    dx = a[..., :, None, 0] - b[..., None, :, 0]
+    dy = a[..., :, None, 1] - b[..., None, :, 1]
     return np.sqrt(dx * dx + dy * dy)
 
 

@@ -1,7 +1,7 @@
 """Full-precision sweep output of a parent commit against this checkout.
 
     python3 tools/bits_diff.py --parent HEAD
-    python3 tools/bits_diff.py --parent HEAD --npy-disable-cpu-features "X86_V4"
+    NPY_DISABLE_CPU_FEATURES="X86_V4" python3 tools/bits_diff.py --parent HEAD
 
 Exports the parent ref with `git archive` into a temporary directory and
 runs a fixed list of sweep configurations in it and in this checkout's
@@ -13,10 +13,10 @@ bit for bit, the bytes records.tobytes() holds, which the 12-digit
 records.csv rounds away, and prints the number of rows that differ, the
 columns they differ in and the largest relative difference.
 
---openblas-coretype and --npy-disable-cpu-features set OPENBLAS_CORETYPE
-and NPY_DISABLE_CPU_FEATURES for both trees, so that a check can compare
-like with like under another BLAS kernel or numpy SIMD dispatch level.
-Exits 1 if any configuration differs, unless --expect-diff is given.
+Both trees' subprocesses inherit this process's environment, so a setting
+such as OPENBLAS_CORETYPE or NPY_DISABLE_CPU_FEATURES compares like with
+like under another BLAS kernel or numpy SIMD dispatch level. Exits 1 if any
+configuration differs.
 """
 
 import argparse
@@ -72,12 +72,12 @@ np.savez(out, **tables)
 """
 
 
-def run_configs(tree: Path, configs: dict, out: Path, env: dict) -> dict:
+def run_configs(tree: Path, configs: dict, out: Path) -> dict:
     """Each configuration's record table, swept by the dtddsim of tree/src."""
     src = tree / "src"
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, json.dumps(configs), str(src), str(out)],
-        cwd=tree, env={**env, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"error: the sweeps in {tree} failed:\n{proc.stderr[-2000:]}")
     with np.load(out) as tables:
@@ -120,23 +120,14 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--change", default=None,
                         help="git ref to compare instead of this checkout's working tree")
-    parser.add_argument("--openblas-coretype", default=None)
-    parser.add_argument("--npy-disable-cpu-features", default=None)
-    parser.add_argument("--expect-diff", action="store_true",
-                        help="exit 0 even if the outputs differ")
     args = parser.parse_args(argv)
 
-    env = dict(os.environ)
-    for name, value in (("OPENBLAS_CORETYPE", args.openblas_coretype),
-                        ("NPY_DISABLE_CPU_FEATURES", args.npy_disable_cpu_features)):
-        if value is not None:
-            env[name] = value
     refs = {"parent": git("rev-parse", args.parent)}
     if args.change is not None:
         refs["change"] = git("rev-parse", args.change)
     print(f"parent {refs['parent']}, change {refs.get('change', 'working tree')}; "
-          f"OPENBLAS_CORETYPE={env.get('OPENBLAS_CORETYPE')} "
-          f"NPY_DISABLE_CPU_FEATURES={env.get('NPY_DISABLE_CPU_FEATURES')}")
+          f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')} "
+          f"NPY_DISABLE_CPU_FEATURES={os.environ.get('NPY_DISABLE_CPU_FEATURES')}")
     with tempfile.TemporaryDirectory(prefix="bits_diff_") as tmp:
         tables = {}
         for side in ("parent", "change"):
@@ -145,7 +136,7 @@ def main(argv=None):
                 tree = Path(tmp) / side
                 tree.mkdir()
                 export(refs[side], tree)
-            tables[side] = run_configs(tree, CONFIGS, Path(tmp) / f"{side}.npz", env)
+            tables[side] = run_configs(tree, CONFIGS, Path(tmp) / f"{side}.npz")
 
     differing = 0
     for name in CONFIGS:
@@ -158,7 +149,7 @@ def main(argv=None):
                      f"{diff['max_rel']:.3g}; first rows {diff['rows'][:10]}")
         print(line)
     print(f"{differing} of {len(CONFIGS)} configurations differ")
-    if differing and not args.expect_diff:
+    if differing:
         sys.exit(1)
 
 
