@@ -34,10 +34,10 @@ DEFAULT_UTILIZATIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 FAILURE_RATE_WARN = 0.01
 
-# most snapshots a sweep realizes before it evaluates them layer by layer
-# (_evaluate_chunk); a larger chunk makes larger shape groups, but past a
-# few dozen it mostly holds more memory
-CHUNK = 64
+# most snapshots a sweep realizes before it evaluates them layer by layer.
+# Against 64, 128 read 9-21% more snapshots/s for 1.4-1.8% more peak RSS;
+# 256 a further 6% on light_load, for 3.5% more (README, performance notes)
+CHUNK = 128
 
 # the per-point statistics, in summary.json key order
 SUMMARY_STATS = tuple(f.name for f in dataclasses.fields(SweepPointSummary))
@@ -304,9 +304,13 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     workers = min(cpus, len(tasks))
     if config.worker_count != "auto":
         workers = min(config.worker_count, workers)
-    # a pool balances its workers with at least 8 chunks each
-    chunk = CHUNK if workers == 1 else max(1, min(CHUNK, len(tasks) // (workers * 8)))
-    chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
+    # a pool balances its workers with at least 8 chunks each; each sweep point
+    # is cut into its fewest chunks of at most size tasks, lengths within one
+    size = CHUNK if workers == 1 else max(1, min(CHUNK, len(tasks) // (workers * 8)))
+    n = config.snapshots_per_point
+    parts = -(-n // size)
+    chunks = [tasks[start + n * j // parts:start + n * (j + 1) // parts]
+              for start in range(0, len(tasks), n) for j in range(parts)]
     if workers == 1:
         per_chunk = [_run_chunk(config, topology, c) for c in chunks]
     else:

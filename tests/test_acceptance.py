@@ -11,11 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from dtddsim import (SimulationConfig, assemble_m, baseline_sinrs,
-                     build_precoder, draw_channel, evaluate_snapshot,
-                     generate_snapshot, build_grid, noise_power,
-                     run_sweep, solve_power_lp, v_ul, v_ul_max, write_results,
-                     TrafficConfig)
+from dtddsim import (ChannelRealization, SimulationConfig, assemble_m, baseline_sinrs,
+                     build_precoder, draw_channel, generate_snapshot, build_grid,
+                     noise_power, run_sweep, select_uplink_bs, solve_power_lp, v_ul,
+                     v_ul_max, write_results, TrafficConfig)
+from dtddsim.harness import _evaluate_chunk, _stack
+from dtddsim.snapshot import SnapshotGroup
 
 from conftest import random_scene, unit_columns
 from oracles import power_lp_oracle
@@ -132,19 +133,30 @@ def test_c03_degeneracy_identities():
 
 
 def test_c04_included_bs_uplink_dominance():
+    # the 1000 scenes are evaluated as the sweep evaluates a chunk: grouped
+    # by shape, one stacked call per layer and group (the per-snapshot
+    # reference gives the same bits, test_every_row_is_its_snapshot_evaluation)
+    scenes = [random_scene(seed=seed, utilization=0.75) for seed in range(1000)]
+    params = scenes[0][2]
+    snaps = [snap for snap, _, _ in scenes]
+    shapes = {}
+    for i, snap in enumerate(snaps):
+        shapes.setdefault((snap.k_dl, snap.n_dl_count, snap.k_ul, snap.n_ul_count), []).append(i)
+    groups = [(members, _stack(SnapshotGroup, [snaps[i] for i in members]),
+               _stack(ChannelRealization, [scenes[i][1] for i in members]))
+              for members in shapes.values()]
+    evaluations = _evaluate_chunk(snaps, groups, params, ("jt", "jt_ds"), 0)
     checked = 0
-    for seed in range(1000):
-        snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        evaluation = evaluate_snapshot(snap, chan, params, ("jt", "jt_ds"))
-        (_, jt), (_, jt_ds) = evaluation["jt"], evaluation["jt_ds"]
-        base = baseline_sinrs(snap, chan, params)
-        v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        _, ul_rows = build_precoder(snap, chan, v, base)
-        selected = set(ul_rows.tolist())
-        for slot, ue in enumerate(snap.ul_ues):
-            if slot in selected:
-                assert jt_ds.per_ue_sinr[ue] >= jt.per_ue_sinr[ue] * (1.0 - 1e-9)
-                checked += 1
+    for members, group, chan in groups:
+        for i, base in zip(members, baseline_sinrs(group, chan, params)):
+            snap, evaluation = snaps[i], evaluations[i]
+            (_, jt), (_, jt_ds) = evaluation["jt"], evaluation["jt_ds"]
+            v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
+            selected = set(select_uplink_bs(base[snap.ul_ues], v).tolist())
+            for slot, ue in enumerate(snap.ul_ues):
+                if slot in selected:
+                    assert jt_ds.per_ue_sinr[ue] >= jt.per_ue_sinr[ue] * (1.0 - 1e-9)
+                    checked += 1
     assert checked > 1000
     print(f"\nPASS criterion 4: uplink SINR of every included BS dominates JT "
           f"({checked} UE checks over 1000 snapshots)")
@@ -206,8 +218,8 @@ def test_c08_noise_power_value():
 
 
 def test_c09_worker_count_determinism(tmp_path):
-    # 100 tasks: chunks of 64 and 36 on one worker; in the pool, chunks of
-    # 100 // (8 x workers) tasks, 3 or more
+    # 100 tasks: one chunk of 50 per point on one worker; in the pool, each
+    # point cut into near-equal chunks of at most 100 // (8 x workers) tasks
     base = dict(utilizations=(0.25, 0.75), snapshots_per_point=50,
                 master_seed=SEED)
     write_results(run_sweep(SimulationConfig(worker_count=1, **base)),

@@ -56,9 +56,10 @@ def test_derive_stream_diverges_across_seeds():
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    # 80 tasks: chunks of 64 and 16 on one worker; in the pool, chunks of
-    # 80 // (8 x workers) tasks, 3 or more; with CHUNK = 1, one task each.
-    # The full-precision records must match too, not only the 12 digits
+    # 80 tasks: one chunk of 40 per point on one worker; in the pool, chunks
+    # of at most 80 // (8 x workers) tasks, 3 or more; with CHUNK = 1, one
+    # task each; with CHUNK = 7, six of 6 or 7 per point. The full-precision
+    # records must match too, not only the 12 digits
     cfg1 = small_config(snapshots_per_point=40, worker_count=1)
     cfg2 = small_config(snapshots_per_point=40, worker_count=3)
     serial, parallel = run_sweep(cfg1), run_sweep(cfg2)
@@ -69,8 +70,11 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
                 == (tmp_path / "parallel" / name).read_bytes())
     monkeypatch.setattr(harness, "CHUNK", 1)
     one_task_chunks = run_sweep(cfg1)
+    monkeypatch.setattr(harness, "CHUNK", 7)
+    ragged_chunks = run_sweep(cfg1)
     assert serial.records.tobytes() == parallel.records.tobytes()
     assert serial.records.tobytes() == one_task_chunks.records.tobytes()
+    assert serial.records.tobytes() == ragged_chunks.records.tobytes()
 
 
 class SerialPool:
@@ -118,6 +122,35 @@ def test_worker_count_capped_at_cpus_and_tasks(tmp_path, monkeypatch, requested,
                 == (tmp_path / "serial" / name).read_bytes())
     config = json.loads((tmp_path / "capped" / "config.json").read_text())
     assert config["worker_count"] == requested  # the echo keeps the request
+
+
+@pytest.mark.parametrize("workers, size", [(1, 10), (2, 69 // 16)])
+def test_each_sweep_point_is_cut_into_near_equal_chunks(monkeypatch, workers, size):
+    # 3 points x 23 tasks, cut by one worker at CHUNK = 10 and by a pool of 2
+    # at 69 // (8 x 2) = 4 tasks: each point into its fewest chunks of at
+    # most that size, whose lengths differ by at most one
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "CHUNK", 10)
+    chunks, original = [], harness._run_chunk
+
+    def recorded(config, topology, tasks):
+        chunks.append(list(tasks))
+        return original(config, topology, tasks)
+
+    monkeypatch.setattr(harness, "_run_chunk", recorded)
+    cfg = small_config(utilizations=(0.25, 0.5, 0.75), snapshots_per_point=23,
+                       worker_count=workers)
+    run_sweep(cfg)
+    assert [task for chunk in chunks for task in chunk] == [
+        (u_idx, s_idx) for u_idx in range(3) for s_idx in range(23)]
+    for u_idx in range(3):
+        lengths = [len(chunk) for chunk in chunks if chunk[0][0] == u_idx]
+        assert len(lengths) == -(-23 // size)
+        assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+    for chunk in chunks:
+        assert len({u_idx for u_idx, _ in chunk}) == 1
 
 
 def test_worker_count_capped_at_cpu_count_without_affinity(monkeypatch):
@@ -402,6 +435,13 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # stream per member), so they are counted in snapshots (LPs) as well as
     # in calls
     calls, stacked, shapes, log = Counter(), Counter(), set(), []
+    original_chunk = harness._run_chunk
+
+    def marked(*args):
+        log.append("chunk")
+        return original_chunk(*args)
+
+    monkeypatch.setattr(harness, "_run_chunk", marked)
     for module, name in [(snapshot_module, "drop_ues"), (harness, "generate_snapshot"),
                          (harness, "build_channel_realization"),
                          (harness, "baseline_sinrs"), (harness, "build_precoder"),
@@ -444,7 +484,9 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
         assert stacked[name] == calls["build_precoder"]
     # one per distinct key: the baseline's, JT's and JT-DS's when it has dummies
     assert stacked["snapshot_metrics"] == 20 + calls["build_precoder"]
-    # the 20 tasks make one chunk, whose shape groups hold several snapshots
+    # the 20 tasks make a chunk of 10 per point, whose shape groups hold
+    # several snapshots
+    assert log.count("chunk") == 2
     assert stacked["most"] > 1
     for name in ("build_channel_realization", "baseline_sinrs", "solve_power_lp",
                  "jt_sinrs", "snapshot_metrics"):
@@ -454,12 +496,16 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # K = 8 UEs at u = 0.5 and 16 at u = 1.0
     assert shapes == {("zf_precoder", 2), ("solve_power_lp", 3, ()),
                       ("drop_ues", 8), ("drop_ues", 16)}
-    # each layer runs across the whole chunk before the next starts
+    # within each chunk, each layer runs across the whole chunk before the
+    # next starts
     stages = ["generate_snapshot", "build_channel_realization", "baseline_sinrs",
               "build_precoder", "solve_power_lp", "jt_sinrs"]
-    for stage, following in zip(stages, stages[1:]):
-        last = len(log) - 1 - log[::-1].index(stage)
-        assert last < log.index(following), (stage, following)
+    starts = [i for i, name in enumerate(log) if name == "chunk"] + [len(log)]
+    for start, end in zip(starts, starts[1:]):
+        chunk_log = log[start + 1:end]
+        for stage, following in zip(stages, stages[1:]):
+            last = len(chunk_log) - 1 - chunk_log[::-1].index(stage)
+            assert last < chunk_log.index(following), (stage, following)
 
 
 def bits(m):
@@ -518,8 +564,8 @@ def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch):
     # the LP fails on about half of the precoded jobs (their elements of the
     # stacked LP come back as NaN rows), so shape groups mix masked rows
     # (zero powers, read as failed) with evaluated ones in their stacked SINR
-    # and rate calls; the 50 tasks make one chunk, so each (k_dl, k_ul) is
-    # one group
+    # and rate calls; each point's 25 tasks make one chunk, and K differs
+    # between the points, so each (k_dl, k_ul) is one group
     cfg = small_config(snapshots_per_point=25)
     clean = run_sweep(cfg).records
     original = harness.solve_power_lp
