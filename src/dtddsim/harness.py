@@ -184,42 +184,37 @@ def _row(stacked, row):
     return type(stacked)(*(getattr(stacked, f.name)[row] for f in dataclasses.fields(stacked)))
 
 
-def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int) -> list:
+def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
     """evaluate_snapshot on each snapshot of _realize's shape groups, one layer at a time.
 
     Each group makes one baseline_sinrs call and one evaluation per V_ul
-    key, whose rows fill stacked W and p. Every row's precoder runs, on
-    its row of the group's channels, then one power LP call per group over
-    the rows of all its precoded keys (dummy columns carry no powers, so
-    each is an LP over the K_dl data columns), then each evaluation's
-    jt_sinrs and snapshot_metrics over its whole group, so each layer spans
-    the chunk. A precoder's NumericalError or an LP's NaN row clears its
-    own row of the ok mask; the row's zero W or p gives finite SINRs, which
-    read None.
+    key; a precoded key's rows fill stacked W and p. Every row's precoder
+    runs, on its row of the group's channels, then one power LP call per
+    group over the rows of all its precoded keys (dummy columns carry no
+    powers, so each is an LP over the K_dl data columns), then each
+    evaluation's jt_sinrs and snapshot_metrics over its whole group, so
+    each layer spans the chunk. A precoder's NumericalError or an LP's NaN
+    row clears its own row of the ok mask; its zero W or p gives finite
+    SINRs, which no caller reads. Yields, per shape group, its members and
+    {scheme: (V_ul key, ok, stacked SnapshotMetrics)}.
     """
-    keys = {}  # per snapshot, {scheme: V_ul key}
-    evaluations = []  # (members, V_ul key, group, channels, SINRs, W, p, ok)
+    chunk = []  # per shape group: members, group, channels, SINRs, keys, {key: (W, p, ok)}
     lps = []  # per shape group with precoded keys: K_dl and their (W, p, ok)
     for members, group, chan in groups:
         snap = snaps[members[0]]
-        group_keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
-        keys.update(dict.fromkeys(members, group_keys))
+        keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
-                if any(v is None or v > 0 for v in group_keys.values()) else None)
-        precoded = []
-        for v in dict.fromkeys(group_keys.values()):
-            cols = snap.k_dl + (v or 0)
-            w, p, ok = (np.zeros((len(members), snap.n_dl_count, cols), complex),
-                        np.zeros((len(members), cols)), np.ones(len(members), bool))
-            evaluations.append((members, v, group, chan, base, w, p, ok))
-            if v is not None:
-                precoded.append((w, p, ok))
+                if any(v is None or v > 0 for v in keys.values()) else None)
+        precoded = {v: (np.zeros((len(members), snap.n_dl_count, snap.k_dl + v), complex),
+                        np.zeros((len(members), snap.k_dl + v)), np.ones(len(members), bool))
+                    for v in dict.fromkeys(keys.values()) if v is not None}
         if precoded:
-            lps.append((snap.k_dl, precoded))
+            lps.append((snap.k_dl, list(precoded.values())))
+        chunk.append((members, group, chan, base, keys, precoded))
 
-    for members, v, _, chan, base, w, _, ok in evaluations:
-        for row, i in enumerate(members if v is not None else ()):
+    for members, _, chan, base, _, precoded in chunk:
+        for (v, (w, _, ok)), (row, i) in product(precoded.items(), enumerate(members)):
             try:
                 w[row] = build_precoder(snaps[i], _row(chan, row), v, base[row] if v else None)[0]
             except NumericalError:
@@ -232,17 +227,15 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int) -> 
             p_rows, p = p[:len(r)], p[len(r):]
             ok[r] = solved = ~np.isnan(p_rows).any(1)
             p_key[r[solved], :k_dl] = p_rows[solved]
-    table = {}  # (snapshot, V_ul key) -> SnapshotMetrics, or None if it failed
-    for members, v, group, chan, sinrs, w, p, ok in evaluations:
-        if v is not None:
+    for members, group, chan, base, keys, precoded in chunk:
+        metrics = {}  # the None key reads the baseline SINRs, and never fails
+        if None in keys.values():
+            ok = np.ones(len(members), bool)
+            metrics[None] = ok, snapshot_metrics(group, base, params.bandwidth_hz)
+        for v, (w, p, ok) in precoded.items():
             sinrs = jt_sinrs(group, chan, params, w, p)
-        m = snapshot_metrics(group, sinrs, params.bandwidth_hz)
-        for i, good, *fields in zip(members, ok.tolist(), m.per_ue_sinr,
-                                    m.dl_sum_rate_bps.tolist(), m.ul_sum_rate_bps.tolist(),
-                                    m.sum_rate_bps.tolist()):
-            table[i, v] = SnapshotMetrics(*fields) if good else None
-    return [{scheme: (v or 0, table[i, v]) for scheme, v in keys[i].items()}
-            for i in range(len(snaps))]
+            metrics[v] = ok, snapshot_metrics(group, sinrs, params.bandwidth_hz)
+        yield members, {scheme: (v, *metrics[v]) for scheme, v in keys.items()}
 
 
 def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
@@ -264,21 +257,30 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
     a chunk of one snapshot.
     """
     group = ([0], _stack(SnapshotGroup, [snap]), _stack(ChannelRealization, [chan]))
-    return _evaluate_chunk([snap], [group], params, schemes, delta)[0]
+    [(_, results)] = _evaluate_chunk([snap], [group], params, schemes, delta)
+    return {scheme: (v or 0, SnapshotMetrics(m.per_ue_sinr[0], *(float(rates[0]) for rates in (
+        m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))) if ok[0] else None)
+            for scheme, (v, ok, m) in results.items()}
 
 
 def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarray:
-    """RECORD_DTYPE rows of every configured scheme on each task, in task order."""
+    """[scheme, task] RECORD_DTYPE rows of every configured scheme on each task."""
     snaps, groups = _realize(config, topology, tasks)
-    evaluations = _evaluate_chunk(snaps, groups, config.radio, config.schemes, config.delta)
-    rows = []
-    for (u_idx, s_idx), snap, evaluation in zip(tasks, snaps, evaluations):
-        for scheme, (v, m) in evaluation.items():
-            rates = ((float("nan"),) * 3 if m is None
-                     else (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))
-            rows.append((scheme, config.utilizations[u_idx], config.delta, s_idx,
-                         snap.k_dl, snap.k_ul, v, *rates, m is None))
-    return np.array(rows, dtype=RECORD_DTYPE)
+    block = np.empty((len(config.schemes), len(tasks)), RECORD_DTYPE)
+    block["scheme"] = np.array(config.schemes)[:, None]
+    block["utilization"] = np.take(config.utilizations, [u_idx for u_idx, _ in tasks])
+    block["delta"] = config.delta
+    block["snapshot"] = [s_idx for _, s_idx in tasks]
+    block["k_dl"] = [snap.k_dl for snap in snaps]
+    block["k_ul"] = [snap.k_ul for snap in snaps]
+    for members, results in _evaluate_chunk(snaps, groups, config.radio, config.schemes,
+                                            config.delta):
+        for row, (v, ok, m) in zip(block, results.values()):
+            row["v_ul"][members] = v or 0
+            row["failed"][members] = ~ok
+            for name in ("dl_sum_rate_bps", "ul_sum_rate_bps", "sum_rate_bps"):
+                row[name][members] = np.where(ok, getattr(m, name), np.nan)
+    return block
 
 
 def run_sweep(config: SimulationConfig) -> RunResult:
@@ -293,9 +295,7 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     failure rate above 1% triggers a warning.
     """
     topology = build_grid(config.n_bs, config.area_side)
-    tasks = [(u_idx, s_idx)
-             for u_idx in range(len(config.utilizations))
-             for s_idx in range(config.snapshots_per_point)]
+    tasks = list(product(range(len(config.utilizations)), range(config.snapshots_per_point)))
     # a process pool forks all its workers at the first submit, and the
     # output does not depend on their count: use at most one per task and
     # per CPU this process may run on (its affinity mask, where there is one)
@@ -319,9 +319,8 @@ def run_sweep(config: SimulationConfig) -> RunResult:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(partial(_run_chunk, config, topology), chunks))
-    # one row per task and scheme: transposed, each scheme's rows in task order
-    records = np.concatenate(per_chunk)
-    records = records.reshape(len(tasks), -1).T.reshape(-1).view(np.recarray)
+    # each scheme's rows in task order
+    records = np.concatenate(per_chunk, axis=1).reshape(-1).view(np.recarray)
 
     summaries = []
     for (scheme, utilization), point in zip(product(config.schemes, config.utilizations),

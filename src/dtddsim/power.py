@@ -15,9 +15,10 @@ from .exceptions import ConfigurationError
 # how an element of a stack left the simplex: solved, or the failure that
 # leaves its row of the result NaN
 SOLVED, UNBOUNDED, LOST_FEASIBILITY, OUT_OF_PIVOTS = range(4)
+_TOL = 1e-11
 
 
-def _simplex_max(c, a: np.ndarray, b, tol: float = 1e-11):
+def _simplex_max(c, a: np.ndarray, b):
     """Maximize c @ x s.t. a @ x <= b, x >= 0, where b >= 0, for a stack of LPs.
 
     a is [B, m, n]; c and b are [B, n] and [B, m] arrays, or arrays or
@@ -30,7 +31,7 @@ def _simplex_max(c, a: np.ndarray, b, tol: float = 1e-11):
     rounding leaves no row in the ratio test (a NaN ratio included), or if
     the pivots run out. Each element makes the pivots and the elementwise
     arithmetic it would make alone: the first column with reduced cost
-    > tol enters; ratio-test ties within tol * (1 + best) leave by the
+    > _TOL enters; ratio-test ties within _TOL * (1 + best) leave by the
     smallest basis index; the pivot row is divided by the pivot before the
     elimination, whose factor is zero on the pivot row itself, so that row
     loses 0 * itself (a zero's sign can flip). Elements that finish or fail
@@ -50,21 +51,21 @@ def _simplex_max(c, a: np.ndarray, b, tol: float = 1e-11):
     live = np.arange(size)  # the stack index of each element still pivoting
     at = np.arange(size)
     for _ in range(200 * (n + m + 1)):
-        improving = t[:, m, :n + m] > tol
+        improving = t[:, m, :n + m] > _TOL
         entering = improving.argmax(1)  # the first improving column
         # the entering column, objective row included: the elimination's factor
         factor = t[at, :, entering]
         col = factor[:, :m]
-        pos = col > tol
-        # rows not > tol get inf / 1
+        pos = col > _TOL
+        # rows not > _TOL get inf / 1
         ratios = np.where(pos, t[:, :m, -1], np.inf) / np.where(pos, col, 1.0)
         best = np.minimum.reduce(ratios, axis=1, keepdims=True)  # NaN if any ratio is
-        ties = pos & (ratios <= best + tol * (1.0 + best))
+        ties = pos & (ratios <= best + _TOL * (1.0 + best))
         leaving = np.where(ties, basis, n + m).argmin(1)
         pivots = improving[at, entering] & ties[at, leaving]
         if np.count_nonzero(pivots) < live.size:
             done, keep = np.flatnonzero(~pivots), np.flatnonzero(pivots)
-            # no row in reach: unbounded without one > tol, else lost to rounding
+            # no row in reach: unbounded without one > _TOL, else lost to rounding
             status[live[done]] = np.where(~improving[done].any(1), SOLVED,
                                           np.where(pos[done].any(1), LOST_FEASIBILITY,
                                                    UNBOUNDED))

@@ -8,7 +8,7 @@ from dtddsim import (ChannelRealization, ConfigurationError, RadioParams,
                      baseline_sinrs, build_channel_realization, build_grid,
                      build_precoder, evaluate_snapshot, jt_sinrs, solve_power_lp,
                      v_ul, v_ul_max, zf_precoder)
-from dtddsim.harness import RECORD_DTYPE
+from dtddsim.harness import RECORD_DTYPE, SCHEMES
 from dtddsim.metrics import snapshot_metrics
 
 from conftest import random_scene
@@ -168,9 +168,17 @@ def test_rate_log2_consistency():
 
 
 def test_sum_rate_split_is_exact():
+    # also pins evaluate_snapshot's return: schemes in SCHEMES order, an int
+    # V_ul, one float64 SINR per UE and Python-float sums
     for seed in range(10):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        for _, m in evaluate_snapshot(snap, chan, params).values():
+        evaluation = evaluate_snapshot(snap, chan, params)
+        assert tuple(evaluation) == SCHEMES
+        for v, m in evaluation.values():
+            assert type(v) is int
+            assert m.per_ue_sinr.shape == (snap.k,) and m.per_ue_sinr.dtype == np.float64
+            sums = (m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps)
+            assert all(type(x) is float for x in sums)
             assert m.sum_rate_bps == m.dl_sum_rate_bps + m.ul_sum_rate_bps
             assert np.all(m.per_ue_sinr >= 0)
 
