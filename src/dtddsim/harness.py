@@ -304,9 +304,9 @@ def run_sweep(config: SimulationConfig) -> RunResult:
     workers = min(cpus, len(tasks))
     if config.worker_count != "auto":
         workers = min(config.worker_count, workers)
-    # a pool balances its workers with at least 8 chunks each; each sweep point
-    # is cut into its fewest chunks of at most size tasks, lengths within one
-    size = CHUNK if workers == 1 else max(1, min(CHUNK, len(tasks) // (workers * 8)))
+    # every worker gets at least one chunk; each sweep point is cut into its
+    # fewest chunks of at most size tasks, lengths within one
+    size = min(CHUNK, -(-len(tasks) // workers))
     n = config.snapshots_per_point
     parts = -(-n // size)
     chunks = [tasks[start + n * j // parts:start + n * (j + 1) // parts]

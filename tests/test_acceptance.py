@@ -220,8 +220,8 @@ def test_c08_noise_power_value():
 
 
 def test_c09_worker_count_determinism(tmp_path):
-    # 100 tasks: one chunk of 50 per point on one worker; in the pool, each
-    # point cut into near-equal chunks of at most 100 // (8 x workers) tasks
+    # 100 tasks: one chunk of 50 per point on one worker; in a pool of 4,
+    # each worker gets at least one chunk, here two of 25 per point
     base = dict(utilizations=(0.25, 0.75), snapshots_per_point=50,
                 master_seed=SEED)
     write_results(run_sweep(SimulationConfig(worker_count=1, **base)),

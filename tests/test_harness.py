@@ -56,10 +56,11 @@ def test_derive_stream_diverges_across_seeds():
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    # 80 tasks: one chunk of 40 per point on one worker; in the pool, chunks
-    # of at most 80 // (8 x workers) tasks, 3 or more; with CHUNK = 1, one
-    # task each; with CHUNK = 7, six of 6 or 7 per point. The full-precision
-    # records must match too, not only the 12 digits
+    # 80 tasks: one chunk of 40 per point on one worker; in a pool of 3, each
+    # worker gets at least one chunk, here two of 20 per point; with CHUNK = 1,
+    # one task each; with CHUNK = 7, six of 6 or 7 per point, on one worker and
+    # through the pool alike. The full-precision records must match too, not
+    # only the 12 digits
     cfg1 = small_config(snapshots_per_point=40, worker_count=1)
     cfg2 = small_config(snapshots_per_point=40, worker_count=3)
     serial, parallel = run_sweep(cfg1), run_sweep(cfg2)
@@ -72,9 +73,11 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     one_task_chunks = run_sweep(cfg1)
     monkeypatch.setattr(harness, "CHUNK", 7)
     ragged_chunks = run_sweep(cfg1)
+    ragged_pool = run_sweep(cfg2)
     assert serial.records.tobytes() == parallel.records.tobytes()
     assert serial.records.tobytes() == one_task_chunks.records.tobytes()
     assert serial.records.tobytes() == ragged_chunks.records.tobytes()
+    assert serial.records.tobytes() == ragged_pool.records.tobytes()
 
 
 class SerialPool:
@@ -124,15 +127,22 @@ def test_worker_count_capped_at_cpus_and_tasks(tmp_path, monkeypatch, requested,
     assert config["worker_count"] == requested  # the echo keeps the request
 
 
-@pytest.mark.parametrize("workers, size", [(1, 10), (2, 69 // 16)])
-def test_each_sweep_point_is_cut_into_near_equal_chunks(monkeypatch, workers, size):
-    # 3 points x 23 tasks, cut by one worker at CHUNK = 10 and by a pool of 2
-    # at 69 // (8 x 2) = 4 tasks: each point into its fewest chunks of at
-    # most that size, whose lengths differ by at most one
+# ids: workers-size, the chunk size the rule gives. One worker's rows are
+# the ceil(n / CHUNK) near-equal chunks per point it has always cut
+@pytest.mark.parametrize("workers, n_points, chunk_size, lengths", [
+    pytest.param(1, 3, 10, [7, 8, 8], id="1-10"),   # one worker: CHUNK binds
+    pytest.param(1, 1, 100, [23], id="1-23"),       # one worker: one chunk per point
+    pytest.param(2, 3, 10, [7, 8, 8], id="2-10"),   # a pool: CHUNK binds, 69 / 2 is more
+    pytest.param(2, 1, 100, [11, 12], id="2-12"),   # a pool: it binds at 23 / 2 tasks
+])
+def test_each_sweep_point_is_cut_into_near_equal_chunks(monkeypatch, workers, n_points,
+                                                        chunk_size, lengths):
+    # points of 23 tasks, each cut into its fewest chunks of at most
+    # min(CHUNK, ceil(tasks / workers)) tasks, whose lengths differ by at most one
     import concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(harness, "CHUNK", 10)
+    monkeypatch.setattr(harness, "CHUNK", chunk_size)
     chunks, original = [], harness._run_chunk
 
     def recorded(config, topology, tasks):
@@ -140,15 +150,13 @@ def test_each_sweep_point_is_cut_into_near_equal_chunks(monkeypatch, workers, si
         return original(config, topology, tasks)
 
     monkeypatch.setattr(harness, "_run_chunk", recorded)
-    cfg = small_config(utilizations=(0.25, 0.5, 0.75), snapshots_per_point=23,
+    cfg = small_config(utilizations=(0.25, 0.5, 0.75)[:n_points], snapshots_per_point=23,
                        worker_count=workers)
     run_sweep(cfg)
     assert [task for chunk in chunks for task in chunk] == [
-        (u_idx, s_idx) for u_idx in range(3) for s_idx in range(23)]
-    for u_idx in range(3):
-        lengths = [len(chunk) for chunk in chunks if chunk[0][0] == u_idx]
-        assert len(lengths) == -(-23 // size)
-        assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+        (u_idx, s_idx) for u_idx in range(n_points) for s_idx in range(23)]
+    for u_idx in range(n_points):
+        assert [len(chunk) for chunk in chunks if chunk[0][0] == u_idx] == lengths
     for chunk in chunks:
         assert len({u_idx for u_idx, _ in chunk}) == 1
 
