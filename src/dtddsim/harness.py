@@ -189,9 +189,9 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
 
     Each group makes one baseline_sinrs call and one evaluation per V_ul
     key; a precoded key's rows fill stacked W and p. Every row's precoder
-    runs, on its row of the group's channels, then one power LP call per
-    group over the rows of all its precoded keys (dummy columns carry no
-    powers, so each is an LP over the K_dl data columns), then each
+    runs, on its row of the group's channels, then one power LP call over
+    the chunk's rows still ok, each an LP over its K_dl data columns (dummy
+    columns carry no powers) zero-padded to the chunk's largest, then each
     evaluation's jt_sinrs and snapshot_metrics over its whole group, so
     each layer spans the chunk. A precoder's NumericalError or an LP's NaN
     row clears its own row of the ok mask; its zero W or p gives finite
@@ -199,7 +199,7 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
     {scheme: (V_ul key, ok, stacked SnapshotMetrics)}.
     """
     chunk = []  # per shape group: members, group, channels, SINRs, keys, {key: (W, p, ok)}
-    lps = []  # per shape group with precoded keys: K_dl and their (W, p, ok)
+    lps = []  # every precoded key of the chunk: K_dl, W, p, ok
     for members, group, chan in groups:
         snap = snaps[members[0]]
         keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
@@ -209,8 +209,7 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
         precoded = {v: (np.zeros((len(members), snap.n_dl_count, snap.k_dl + v), complex),
                         np.zeros((len(members), snap.k_dl + v)), np.ones(len(members), bool))
                     for v in dict.fromkeys(keys.values()) if v is not None}
-        if precoded:
-            lps.append((snap.k_dl, list(precoded.values())))
+        lps.extend((snap.k_dl, *arrays) for arrays in precoded.values())
         chunk.append((members, group, chan, base, keys, precoded))
 
     for members, _, chan, base, _, precoded in chunk:
@@ -219,12 +218,17 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
                 w[row] = build_precoder(snaps[i], _row(chan, row), v, base[row] if v else None)[0]
             except NumericalError:
                 ok[row] = False
-    for k_dl, precoded in lps:
-        rows = [np.flatnonzero(ok) for _, _, ok in precoded]
-        w = np.concatenate([w_key[r, :, :k_dl] for (w_key, _, _), r in zip(precoded, rows)])
-        p = solve_power_lp(w, params.p_b_max_w, k_dl)
-        for (_, p_key, ok), r in zip(precoded, rows):  # each key's rows in turn
-            p_rows, p = p[:len(r)], p[len(r):]
+    if lps:
+        rows = [np.flatnonzero(ok) for _, _, _, ok in lps]
+        k_each = np.repeat([k_dl for k_dl, _, _, _ in lps], list(map(len, rows)))
+        # one stack of the chunk's largest LP shape, real rows and columns first
+        w = np.zeros((len(k_each), max(w_key.shape[1] for _, w_key, _, _ in lps),
+                      max(k_dl for k_dl, _, _, _ in lps)), complex)
+        for (k_dl, w_key, _, _), r, end in zip(lps, rows, np.cumsum(list(map(len, rows)))):
+            w[end - len(r):end, :w_key.shape[1], :k_dl] = w_key[r, :, :k_dl]
+        p = solve_power_lp(w, params.p_b_max_w, w.shape[2], k_dl_each=k_each)
+        for (k_dl, _, p_key, ok), r in zip(lps, rows):  # each key's rows in turn
+            p_rows, p = p[:len(r), :k_dl], p[len(r):]
             ok[r] = solved = ~np.isnan(p_rows).any(1)
             p_key[r[solved], :k_dl] = p_rows[solved]
     for members, group, chan, base, keys, precoded in chunk:

@@ -36,6 +36,14 @@ def _simplex_max(c, a: np.ndarray, b):
     elimination, whose factor is zero on the pivot row itself, so that row
     loses 0 * itself (a zero's sign can flip). Elements that finish or fail
     leave the stack that is pivoted.
+
+    LPs of smaller shapes may share a stack zero-padded to its largest, real
+    rows and columns first, with c 0 on pad columns: a pad row (0 <= b) has
+    no entry > _TOL, so it never leaves; a pad column's reduced cost stays
+    0, so it never enters; the slacks keep their order after the real
+    columns. So each LP makes its own pivots and gets its own bits. Only the
+    cap of 200 * (n + m + 1) pivots follows the padded shape, so it can only
+    rise: sweeps have needed at most 19 pivots per LP; a 1 x 1 LP's cap is 600.
     """
     size, m, n = a.shape
     t = np.zeros((size, m + 1, n + m + 1))
@@ -88,20 +96,20 @@ def _simplex_max(c, a: np.ndarray, b):
     return x, status
 
 
-def _antenna_gains(w: np.ndarray, k_dl: int) -> np.ndarray:
-    """|w_nk|^2 over the data columns; zero columns are rejected upstream."""
+def _antenna_gains(w: np.ndarray, k_dl: int, data=True) -> np.ndarray:
+    """|w_nk|^2 over the first k_dl columns; a zero column where data is True is rejected."""
     w = np.asarray(w)
     if k_dl < 1:
         raise ConfigurationError("power allocation needs at least one downlink UE")
     if k_dl > w.shape[-1]:
         raise ConfigurationError("k_dl exceeds the number of precoder columns")
     a = np.abs(w[..., :k_dl]) ** 2
-    if (a.max(axis=-2) <= 1e-30).any():
+    if ((a.max(axis=-2) <= 1e-30) & data).any():
         raise ConfigurationError("all-zero precoder column (violates unit-norm precondition)")
     return a
 
 
-def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> np.ndarray:
+def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int, *, k_dl_each=None) -> np.ndarray:
     """Sum-power-maximizing downlink allocations for normalized precoders.
 
     w is one precoder [N_dl, R] or a stack [..., N_dl, R] of them. Returns
@@ -110,9 +118,16 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int) -> np.ndarray:
     failed; the other rows are unchanged by it. Any vertex optimum is
     acceptable; the optimal objective value is unique even when the
     optimizer is not.
+
+    k_dl_each [...], each from 1 to k_dl, gives each precoder its own count
+    of data columns, past which its w is zero padding and its p is 0: LPs of
+    several shapes padded to one, real rows and columns first, which one
+    simplex solves with each LP's own pivots and bits. It is keyword-only so
+    that k_dl stays the third positional argument, the padded width.
     """
-    a = _antenna_gains(w, k_dl)
-    x, status = _simplex_max(1.0, a.reshape(-1, *a.shape[-2:]), float(p_b))
+    data = np.arange(k_dl) < np.expand_dims(k_dl if k_dl_each is None else k_dl_each, -1)
+    a = _antenna_gains(w, k_dl, data)
+    x, status = _simplex_max(data.reshape(-1, k_dl), a.reshape(-1, *a.shape[-2:]), float(p_b))
     p = np.zeros((len(x), np.shape(w)[-1]))
     p[:, :k_dl] = np.maximum(x, 0.0)
     p[status != SOLVED] = np.nan

@@ -253,7 +253,7 @@ def test_numerical_failures_are_flagged_and_excluded(monkeypatch, module, name, 
             # the stacked LP does not raise: NaN bounds leave each element no
             # ratio-test row, and every element comes back as a NaN row
             w, _, k_dl = args
-            return original(w, np.nan, k_dl)
+            return original(w, np.nan, k_dl, **kwargs)
         raise error
 
     monkeypatch.setattr(module, name, failing)
@@ -395,8 +395,8 @@ def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed
     # (their precoder raises; failed and clean evaluations share a chunk)
     original_lp, original_precoder = harness.solve_power_lp, harness.build_precoder
 
-    def failing_lp(w, p_b_max_w, k_dl):
-        p = original_lp(w, p_b_max_w, k_dl)
+    def failing_lp(w, p_b_max_w, k_dl, **kwargs):
+        p = original_lp(w, p_b_max_w, k_dl, **kwargs)
         if fail == "always":
             p[:] = np.nan
         return p
@@ -438,10 +438,10 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # counted where the benchmark's trace wraps them (sweepbench/spans.py),
     # whose per-call counters read one 2-D M per zf_precoder call, the three
     # positional arguments of solve_power_lp and the len of drop_ues's result;
-    # the channel draw, the SINR and rate kernels and the power LP take a
-    # shape group's snapshots stacked on a leading axis (the draw with one
-    # stream per member), so they are counted in snapshots (LPs) as well as
-    # in calls
+    # the channel draw and the SINR and rate kernels take a shape group's
+    # snapshots stacked on a leading axis (the draw with one stream per
+    # member), the power LP a chunk's LPs padded to one shape, so they are
+    # counted in snapshots (LPs) as well as in calls
     calls, stacked, shapes, log = Counter(), Counter(), set(), []
     original_chunk = harness._run_chunk
 
@@ -499,10 +499,10 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     for name in ("build_channel_realization", "baseline_sinrs", "solve_power_lp",
                  "jt_sinrs", "snapshot_metrics"):
         assert calls[name] < stacked[name]
-    # one LP call per shape group, each of which makes one baseline_sinrs call
-    assert calls["solve_power_lp"] <= calls["baseline_sinrs"]
+    # at most one LP call per chunk, whose per-element counts go by keyword
+    assert calls["solve_power_lp"] <= log.count("chunk")
     # K = 8 UEs at u = 0.5 and 16 at u = 1.0
-    assert shapes == {("zf_precoder", 2), ("solve_power_lp", 3, ()),
+    assert shapes == {("zf_precoder", 2), ("solve_power_lp", 3, ("k_dl_each",)),
                       ("drop_ues", 8), ("drop_ues", 16)}
     # within each chunk, each layer runs across the whole chunk before the
     # next starts
@@ -578,8 +578,8 @@ def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch):
     clean = run_sweep(cfg).records
     original = harness.solve_power_lp
 
-    def fails_on_half(w, p_b_max_w, k_dl):
-        p = original(w, p_b_max_w, k_dl)
+    def fails_on_half(w, p_b_max_w, k_dl, **kwargs):
+        p = original(w, p_b_max_w, k_dl, **kwargs)
         p[w[:, 0, 0].real > 0] = np.nan
         return p
 

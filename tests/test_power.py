@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from dtddsim import ConfigurationError, SimulationConfig, harness, run_sweep, solve_power_lp
@@ -159,6 +160,54 @@ def test_lp_matches_highs_at_full_size(seed, n_rows, data, p_b):
                                            "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
     assert abs(p.sum() + ref.fun) <= 1e-9 * -ref.fun
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shapes=st.lists(st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                                       min_size=1, max_size=6),
+       finite=st.booleans(), p_b=st.sampled_from([P_B, 1.0, 2.5e-3]))
+def test_padded_stack_matches_each_lps_own_call(data, shapes, finite, p_b):
+    # LPs of mixed [N, K], zero-padded to the stack's largest, each with its
+    # own data-column count: each element's p, or its NaN row where its
+    # simplex fails, is byte for byte its own unpadded call's. Elements are
+    # unit-norm precoders or drawn entries, whose first row keeps every
+    # column nonzero; non-finite entries make elements fail
+    entries = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]) | st.floats(0.0, 1.0)
+    if not finite:
+        entries |= st.sampled_from([np.nan, np.inf])
+    ws = []
+    for n, k in shapes:
+        if data.draw(st.booleans()):
+            ws.append(unit_columns(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                                   n, k))
+        else:
+            w = data.draw(arrays(float, (n, k), elements=entries))
+            w[0] = data.draw(arrays(float, k, elements=st.floats(1e-3, 1.0)))
+            ws.append(w.astype(complex))
+    padded = np.zeros((len(ws), *np.max(shapes, axis=0)), complex)
+    for i, (n, k) in enumerate(shapes):
+        padded[i, :n, :k] = ws[i]
+    k_each = [k for _, k in shapes]
+    with np.errstate(all="ignore"):  # inf - inf and the like in the elimination
+        p = solve_power_lp(padded, p_b, padded.shape[2], k_dl_each=k_each)
+        for w, (_, k), row in zip(ws, shapes, p):
+            alone = solve_power_lp(w, p_b, k)
+            assert row[:k].tobytes() == alone.tobytes()
+            assert (np.isnan(row[k:]) if np.isnan(alone).all() else row[k:] == 0).all()
+
+
+def test_padded_stack_rejects_zero_data_columns_only():
+    # the padded columns of an element are zero by design; a zero column of
+    # its data is still the unit-norm violation
+    rng = np.random.default_rng(13)
+    w = np.zeros((2, 5, 3), complex)
+    w[0, :4, :2] = unit_columns(rng, 4, 2)
+    w[1] = unit_columns(rng, 5, 3)
+    p = solve_power_lp(w, P_B, 3, k_dl_each=[2, 3])
+    assert np.isfinite(p).all() and p[0, 2] == 0.0
+    w[0, :, 1] = 0.0
+    with pytest.raises(ConfigurationError, match="all-zero"):
+        solve_power_lp(w, P_B, 3, k_dl_each=[2, 3])
 
 
 def test_every_sweep_lp_matches_highs(monkeypatch):

@@ -7,9 +7,11 @@ Exports the parent ref with `git archive` into a temporary directory and
 runs a fixed list of sweep configurations in it and in this checkout's
 working tree (or in a second export, with --change), each tree in one
 subprocess that imports dtddsim from its own src/. The list is the seven
-configurations tests/test_golden.py pins and the three benchmark workloads'
-grids at delta 0 and 2. Per configuration it compares the record tables
-bit for bit, the bytes records.tobytes() holds, which the 12-digit
+configurations tests/test_golden.py pins, the three benchmark workloads'
+grids at delta 0 and 2, and the paper grid again at delta 0 and 2 on a
+process pool of 2 workers, so that the pool's chunk cut and the chunks its
+workers evaluate are compared too. Per configuration it compares the record
+tables bit for bit, the bytes records.tobytes() holds, which the 12-digit
 records.csv rounds away, and prints the number of rows that differ, the
 columns they differ in and the largest relative difference.
 
@@ -51,6 +53,10 @@ CONFIGS = {
        for name, grid, snapshots in (("light_load", (0.125, 0.25), 200),
                                      ("full_load", (0.875, 1.0), 100),
                                      ("paper_grid", PAPER_GRID, 100))
+       for delta in (0, 2)},
+    # the same paper grids on a pool of 2: its chunk cut and its workers
+    **{f"paper_grid_delta_{delta}_2w": dict(utilizations=PAPER_GRID, snapshots_per_point=100,
+                                            master_seed=1, delta=delta, worker_count=2)
        for delta in (0, 2)},
 }
 
