@@ -9,10 +9,11 @@ bit independent of worker count, chunk size and scheduling order.
 import dataclasses
 import json
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import accumulate, islice, pairwise, product, repeat
 
 import numpy as np
 
@@ -77,8 +78,9 @@ class SimulationConfig:
         if len(set(self.utilizations)) != len(self.utilizations):
             raise ConfigurationError("utilizations must be distinct "
                                      "(records are keyed by the value)")
-        if self.snapshots_per_point < 1:
-            raise ConfigurationError("snapshots_per_point must be >= 1")
+        # the snapshot index keys its stream as one uint32 word
+        if not 1 <= self.snapshots_per_point <= 2**32 - 1:
+            raise ConfigurationError("snapshots_per_point must be in [1, 2**32 - 1]")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be >= 0")
         # BSs no farther apart than the path-loss clamp tie for the UEs near
@@ -134,6 +136,52 @@ def derive_stream(master_seed: int, utilization_index: int,
     return np.random.default_rng(ss)
 
 
+# numpy's SeedSequence constants: hashmix step k of a pass xors c = init * mult^k mod 2^32,
+# then multiplies by c * mult; and PCG64's 128-bit LCG multiplier
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)  # (init, mult)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_POOL = threading.local()  # each thread's Generators, reseeded chunk by chunk
+
+
+def _hashmix(value, consts, n: int, into=None):
+    """SeedSequence's next n hashmix steps on the last axis; given into, mixed into it."""
+    xor, mult = np.array(list(islice(consts, n)), np.uint32).T
+    value = (value ^ xor) * mult
+    value ^= value >> 16
+    if into is not None:
+        value = into * _MIX_L - value * _MIX_R
+        value ^= value >> 16
+    return value
+
+
+def _streams(master_seed: int, tasks) -> list:
+    """derive_stream's stream of each (u, s) task, set on this thread's pooled Generators.
+
+    SeedSequence(master_seed, spawn_key=(u, s)) first mixes the seed's
+    uint32 words, zero-padded to 4, into SeedSequence(master_seed)'s pool,
+    in 4 hashmix steps per word; then it mixes in u and s, here one uint32
+    lane per key. PCG64 seeds from generate_state(4, uint64) = (initstate,
+    initseq), high words first: from state 0, one LCG step sets the state
+    to inc; initstate is added, and it steps once more.
+    """
+    hash_a, hash_b = (pairwise(accumulate(repeat(mult), lambda c, m: c * m & 0xFFFFFFFF,
+                                          initial=init)) for init, mult in (_HASH_A, _HASH_B))
+    hash_a = islice(hash_a, 4 * max(4, -(-master_seed.bit_length() // 32)), None)
+    pool = np.random.SeedSequence(master_seed).pool[None]  # [lane, word]
+    for word in np.array(tasks, np.uint32).T[..., None]:
+        pool = _hashmix(word, hash_a, 4, into=pool)
+    words = _hashmix(np.tile(pool, 2), hash_b, 8)  # generate_state cycles the pool
+    rngs = _POOL.__dict__.setdefault("rngs", [])
+    rngs.extend(np.random.Generator(np.random.PCG64(0)) for _ in range(len(tasks) - len(rngs)))
+    for rng, (hi, lo, seq_hi, seq_lo) in zip(rngs, words.astype("<u4").view("<u8").tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
+    return rngs[:len(tasks)]
+
+
 def _realize(config: SimulationConfig, topology: Topology, tasks):
     """The tasks' snapshots, in task order, and their (members, group, channels) shape groups.
 
@@ -142,7 +190,7 @@ def _realize(config: SimulationConfig, topology: Topology, tasks):
     channel draw per group of snapshots whose four blocks have the same
     shapes (with one UE per BS, one (K_dl, K_ul) pair), into stacked blocks.
     """
-    rngs = [derive_stream(config.master_seed, u_idx, s_idx) for u_idx, s_idx in tasks]
+    rngs = _streams(config.master_seed, tasks)
     snaps = [generate_snapshot(topology, config.utilizations[u_idx], config.traffic, rng)
              for (u_idx, _), rng in zip(tasks, rngs)]
     shapes = {}
@@ -159,7 +207,7 @@ def realize_point(config: SimulationConfig, topology: Topology,
                   utilization_index: int, snapshot_index: int):
     """Generate the shared (snapshot, channel) pair for one sweep task."""
     (snap,), [(_, _, chan)] = _realize(config, topology, [(utilization_index, snapshot_index)])
-    return snap, _row(chan, 0)
+    return snap, _rows(chan)[0]
 
 
 def _v_ul_key(scheme: str, snap, delta: int):
@@ -179,9 +227,9 @@ def _stack(cls, items):
                  for f in dataclasses.fields(cls)))
 
 
-def _row(stacked, row):
-    """The row-th member of a dataclass whose every field is stacked on a leading axis."""
-    return type(stacked)(*(getattr(stacked, f.name)[row] for f in dataclasses.fields(stacked)))
+def _rows(chan: ChannelRealization) -> list:
+    """Each member's ChannelRealization: views of its row of a group's stacked blocks."""
+    return [ChannelRealization(*row) for row in zip(chan.h_dl, chan.f_bs, chan.g_ue, chan.h_ul)]
 
 
 def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
@@ -213,9 +261,10 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
         chunk.append((members, group, chan, base, keys, precoded))
 
     for members, _, chan, base, _, precoded in chunk:
+        rows = _rows(chan)
         for (v, (w, _, ok)), (row, i) in product(precoded.items(), enumerate(members)):
             try:
-                w[row] = build_precoder(snaps[i], _row(chan, row), v, base[row] if v else None)[0]
+                w[row] = build_precoder(snaps[i], rows[row], v, base[row] if v else None)[0]
             except NumericalError:
                 ok[row] = False
     if lps:

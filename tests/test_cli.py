@@ -3,6 +3,7 @@ from unittest import mock
 
 import pytest
 
+import dtddsim.cli as cli
 import dtddsim.harness as harness
 from dtddsim import (RadioParams, SimulationConfig, TrafficConfig, __version__, run_sweep,
                      write_results)
@@ -194,6 +195,19 @@ def test_main_rejects_negative_seed(tmp_path, capsys, overrides, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "master_seed" in err
+
+
+@pytest.mark.parametrize("snapshots", ["99999999999999999999", "4294967297"])
+def test_main_rejects_snapshot_counts_past_the_stream_key(tmp_path, capsys, snapshots):
+    # the snapshot index keys its stream as one uint32 word. The config check
+    # refuses both before run_sweep builds a task list, which would raise an
+    # OverflowError for the first and a MemoryError for the second
+    with mock.patch.object(cli, "run_sweep", side_effect=AssertionError):
+        rc = main(["--out", str(tmp_path / "out"), "--snapshots", snapshots])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "snapshots_per_point" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("utilization, message", [

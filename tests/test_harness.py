@@ -4,11 +4,12 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtddsim import (ConfigurationError, NumericalError, RadioParams, RunResult,
@@ -53,6 +54,52 @@ def test_derive_stream_diverges_across_seeds():
             a = derive_stream(1, u, s).random(4)
             b = derive_stream(2, u, s).random(4)
             assert not np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@example(master_seed=2**64 + 3, tasks=[(7, s) for s in range(harness.CHUNK)])
+@given(master_seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128]),
+                             st.integers(0, 2**32 - 1), st.integers(2**32, 2**300)),
+       tasks=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                      min_size=1, max_size=harness.CHUNK))
+def test_batched_streams_match_derive_stream(master_seed, tasks):
+    # a seed past 2**32 hashes more entropy words, past 2**128 more than
+    # SeedSequence's pool of 4
+    rngs = harness._streams(master_seed, tasks)
+    assert len(rngs) == len(tasks)
+    for (u, s), rng in zip(tasks, rngs):
+        fresh = derive_stream(master_seed, u, s)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        for draw in (lambda g: g.random(3), lambda g: g.standard_normal(3),
+                     lambda g: g.integers(2**40, size=3)):
+            assert draw(rng).tobytes() == draw(fresh).tobytes()
+
+
+def test_threads_keep_their_own_pooled_streams(tmp_path):
+    # three sweeps at once (more threads than a 2-core machine has), on
+    # different seeds, switching threads often: each thread's pooled
+    # Generators must give its serial bytes
+    configs = [small_config(master_seed=seed) for seed in (3, 2**32, 7)]
+    for i, cfg in enumerate(configs):
+        write_results(run_sweep(cfg), tmp_path / f"serial{i}")
+    fresh = derive_stream(3, 0, 0)
+    state = fresh.bit_generator.state
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            results = list(pool.map(run_sweep, configs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, result in enumerate(results):
+        write_results(result, tmp_path / f"thread{i}")
+        for name in ("records.csv", "summary.json"):
+            assert ((tmp_path / f"serial{i}" / name).read_bytes()
+                    == (tmp_path / f"thread{i}" / name).read_bytes())
+    # derive_stream hands out a fresh Generator, never a pooled one
+    assert fresh.bit_generator.state == state
+    assert len(harness._POOL.rngs) <= harness.CHUNK
+    assert all(rng is not fresh for rng in harness._POOL.rngs)
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
@@ -312,6 +359,10 @@ def test_config_validation():
     assert SimulationConfig(schemes=("jt_ds", "jt", "jt_ds")).schemes == ("jt", "jt_ds")
     with pytest.raises(ConfigurationError):
         SimulationConfig(snapshots_per_point=0)
+    # the snapshot index keys its stream as one uint32 word
+    with pytest.raises(ConfigurationError, match="snapshots_per_point"):
+        SimulationConfig(snapshots_per_point=2**32)
+    SimulationConfig(snapshots_per_point=2**32 - 1)
     with pytest.raises(ConfigurationError):
         SimulationConfig(delta=-1)
     # past n_bs no uplink BS is left to null, and 2**63 does not fit the
