@@ -207,7 +207,7 @@ def realize_point(config: SimulationConfig, topology: Topology,
                   utilization_index: int, snapshot_index: int):
     """Generate the shared (snapshot, channel) pair for one sweep task."""
     (snap,), [(_, _, chan)] = _realize(config, topology, [(utilization_index, snapshot_index)])
-    return snap, _rows(chan)[0]
+    return snap, ChannelRealization(chan.h_dl[0], chan.f_bs[0], chan.g_ue[0], chan.h_ul[0])
 
 
 def _v_ul_key(scheme: str, snap, delta: int):
@@ -227,55 +227,63 @@ def _stack(cls, items):
                  for f in dataclasses.fields(cls)))
 
 
-def _rows(chan: ChannelRealization) -> list:
-    """Each member's ChannelRealization: views of its row of a group's stacked blocks."""
-    return [ChannelRealization(*row) for row in zip(chan.h_dl, chan.f_bs, chan.g_ue, chan.h_ul)]
+def _padded(lps, rows, k_dl_max: int) -> np.ndarray:
+    """The K_dl data columns of the given rows of each key's W, zero-padded to one stack.
+
+    The stack's shape is the largest [N_dl, K_dl]; real rows and columns
+    come first, and the keys' rows follow one another.
+    """
+    w = np.zeros((sum(map(len, rows)), max(w_key.shape[1] for _, w_key, _, _ in lps),
+                  k_dl_max), complex)
+    for (k_dl, w_key, _, _), r, end in zip(lps, rows, np.cumsum(list(map(len, rows)))):
+        w[end - len(r):end, :w_key.shape[1], :k_dl] = w_key[r, :, :k_dl]
+    return w
 
 
 def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
     """evaluate_snapshot on each snapshot of _realize's shape groups, one layer at a time.
 
     Each group makes one baseline_sinrs call and one evaluation per V_ul
-    key; a precoded key's rows fill stacked W and p. Every row's precoder
-    runs, on its row of the group's channels, then one power LP call over
-    the chunk's rows still ok, each an LP over its K_dl data columns (dummy
+    key; a precoded key's rows fill stacked W and p. Each (group, key)
+    makes one build_precoder call, then one power LP call runs over the
+    chunk's rows still ok, each an LP over its K_dl data columns (dummy
     columns carry no powers) zero-padded to the chunk's largest, then each
     evaluation's jt_sinrs and snapshot_metrics over its whole group, so
-    each layer spans the chunk. A precoder's NumericalError or an LP's NaN
-    row clears its own row of the ok mask; its zero W or p gives finite
-    SINRs, which no caller reads. Yields, per shape group, its members and
-    {scheme: (V_ul key, ok, stacked SnapshotMetrics)}.
+    each layer spans the chunk. A precoder's NaN row (or its NumericalError,
+    for the whole key) or an LP's NaN row clears its own row of the ok mask;
+    its zero W or p gives finite SINRs, which no caller reads. Yields, per
+    shape group, its members and {scheme: (V_ul key, ok, stacked
+    SnapshotMetrics)}.
     """
     chunk = []  # per shape group: members, group, channels, SINRs, keys, {key: (W, p, ok)}
-    lps = []  # every precoded key of the chunk: K_dl, W, p, ok
     for members, group, chan in groups:
-        snap = snaps[members[0]]
-        keys = {scheme: _v_ul_key(scheme, snap, delta) for scheme in schemes}
+        keys = {scheme: _v_ul_key(scheme, snaps[members[0]], delta) for scheme in schemes}
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
                 if any(v is None or v > 0 for v in keys.values()) else None)
-        precoded = {v: (np.zeros((len(members), snap.n_dl_count, snap.k_dl + v), complex),
-                        np.zeros((len(members), snap.k_dl + v)), np.ones(len(members), bool))
-                    for v in dict.fromkeys(keys.values()) if v is not None}
-        lps.extend((snap.k_dl, *arrays) for arrays in precoded.values())
-        chunk.append((members, group, chan, base, keys, precoded))
+        chunk.append((members, group, chan, base, keys, {}))
 
-    for members, _, chan, base, _, precoded in chunk:
-        rows = _rows(chan)
-        for (v, (w, _, ok)), (row, i) in product(precoded.items(), enumerate(members)):
+    lps = []  # every precoded key of the chunk: K_dl, W, p, ok
+    for members, group, chan, base, keys, precoded in chunk:
+        k_dl, n_dl = chan.h_dl.shape[1:]
+        for v in dict.fromkeys(keys.values()):
+            if v is None:
+                continue
             try:
-                w[row] = build_precoder(snaps[i], rows[row], v, base[row] if v else None)[0]
-            except NumericalError:
-                ok[row] = False
+                w = build_precoder(group, chan, v, base if v else None)[0]
+            except NumericalError:  # the whole key fails
+                w = np.full((len(members), n_dl, k_dl + v), np.nan, complex)
+            ok = ~np.isnan(w[:, 0, 0])
+            w[~ok] = 0.0
+            precoded[v] = w, np.zeros((len(members), k_dl + v)), ok
+            lps.append((k_dl, *precoded[v]))
     if lps:
         rows = [np.flatnonzero(ok) for _, _, _, ok in lps]
+        k_dl_max = max(k_dl for k_dl, _, _, _ in lps)
         k_each = np.repeat([k_dl for k_dl, _, _, _ in lps], list(map(len, rows)))
-        # one stack of the chunk's largest LP shape, real rows and columns first
-        w = np.zeros((len(k_each), max(w_key.shape[1] for _, w_key, _, _ in lps),
-                      max(k_dl for k_dl, _, _, _ in lps)), complex)
-        for (k_dl, w_key, _, _), r, end in zip(lps, rows, np.cumsum(list(map(len, rows)))):
-            w[end - len(r):end, :w_key.shape[1], :k_dl] = w_key[r, :, :k_dl]
-        p = solve_power_lp(w, params.p_b_max_w, w.shape[2], k_dl_each=k_each)
+        # the padded stack is bound to no name here, so the LP can free it as it pivots
+        p = solve_power_lp(_padded(lps, rows, k_dl_max), params.p_b_max_w, k_dl_max,
+                           k_dl_each=k_each)
         for (k_dl, _, p_key, ok), r in zip(lps, rows):  # each key's rows in turn
             p_rows, p = p[:len(r), :k_dl], p[len(r):]
             ok[r] = solved = ~np.isnan(p_rows).any(1)

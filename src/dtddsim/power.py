@@ -51,6 +51,7 @@ def _simplex_max(c, a: np.ndarray, b):
     t[:, np.arange(m), np.arange(n, n + m)] = 1.0  # the slack identity
     t[:, :m, -1] = b
     t[:, m, :n] = c
+    del c, a, b  # the tableau holds them; the caller may have passed the only reference
     basis = np.empty((size, m), int)
     basis[:] = np.arange(n, n + m)
     status = np.full(size, OUT_OF_PIVOTS)
@@ -126,9 +127,13 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int, *, k_dl_each=None) -> n
     that k_dl stays the third positional argument, the padded width.
     """
     data = np.arange(k_dl) < np.expand_dims(k_dl if k_dl_each is None else k_dl_each, -1)
-    a = _antenna_gains(w, k_dl, data)
-    x, status = _simplex_max(data.reshape(-1, k_dl), a.reshape(-1, *a.shape[-2:]), float(p_b))
-    p = np.zeros((len(x), np.shape(w)[-1]))
+    shape = np.shape(w)
+    # neither W nor its gains stay alive while the simplex pivots: popped from
+    # a list, the gains pass with no other reference, and its tableau copies them
+    gains = [_antenna_gains(w, k_dl, data).reshape(-1, shape[-2], k_dl)]
+    del w
+    x, status = _simplex_max(data.reshape(-1, k_dl), gains.pop(), float(p_b))
+    p = np.zeros((len(x), shape[-1]))
     p[:, :k_dl] = np.maximum(x, 0.0)
     p[status != SOLVED] = np.nan
-    return p.reshape(*np.shape(w)[:-2], np.shape(w)[-1])
+    return p.reshape(*shape[:-2], shape[-1])

@@ -29,20 +29,28 @@ def v_ul(delta: int, v_ul_max: int) -> int:
     return max(0, v_ul_max - delta)
 
 
+def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] for one snapshot; for a stack, each member's a[b][rows[b]]."""
+    return a[rows] if rows.ndim == 1 else a[np.arange(len(rows))[:, None], rows]
+
+
 def select_uplink_bs(ul_sinrs, v_ul: int) -> np.ndarray:
     """Uplink rows of the v_ul worst uplink UEs under the uncoordinated scheme.
 
     Args:
-        ul_sinrs: [K_ul] baseline SINRs in snapshot.ul_ues order.
+        ul_sinrs: [K_ul] baseline SINRs in snapshot.ul_ues order, or a
+            [B, K_ul] stack of a shape group's.
         v_ul: how many uplink BSs to pick.
     Returns:
-        [v_ul] uplink rows ordered by ascending baseline SINR, ties broken by
-        ascending row (ul_ues is ascending, so by ascending UE index). With
-        at most one UE per BS, distinct rows are distinct BSs.
+        [v_ul] (or [B, v_ul]) uplink rows ordered by ascending baseline SINR,
+        ties broken by ascending row (ul_ues is ascending, so by ascending UE
+        index): one stable argsort along the last axis. With at most one UE
+        per BS, distinct rows are distinct BSs.
     """
-    if not 0 <= v_ul <= len(ul_sinrs):
-        raise ConfigurationError(f"cannot select {v_ul} of {len(ul_sinrs)} uplink BSs")
-    return np.asarray(ul_sinrs).argsort(kind="stable")[:v_ul]
+    ul_sinrs = np.asarray(ul_sinrs)
+    if not 0 <= v_ul <= ul_sinrs.shape[-1]:
+        raise ConfigurationError(f"cannot select {v_ul} of {ul_sinrs.shape[-1]} uplink BSs")
+    return ul_sinrs.argsort(kind="stable")[..., :v_ul]
 
 
 def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
@@ -50,17 +58,21 @@ def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
 
     Row i < K_dl is h_i^H (conjugated channel of downlink UE i); the
     remaining rows are f_b^H for the uplink BSs at ul_rows of f_bs, in that
-    order. Requires K_dl >= 1 and K_dl + V_ul <= N_dl.
+    order. Requires K_dl >= 1 and K_dl + V_ul <= N_dl. A shape group's
+    stacked channel with [B, V_ul] ul_rows gives the [B, K_dl + V_ul, N_dl]
+    stack of its members' M; with no row selected, M is h_dl conjugated.
     """
-    k_dl, n_dl = channel.h_dl.shape
+    k_dl, n_dl = channel.h_dl.shape[-2:]
     if k_dl < 1:
         raise ConfigurationError("precoding needs at least one downlink UE")
     ul_rows = np.asarray(ul_rows, dtype=int)
-    if k_dl + len(ul_rows) > n_dl:
+    if k_dl + ul_rows.shape[-1] > n_dl:
         raise ConfigurationError(
-            f"{k_dl} downlink UEs + {len(ul_rows)} uplink BSs exceed {n_dl} antennas"
+            f"{k_dl} downlink UEs + {ul_rows.shape[-1]} uplink BSs exceed {n_dl} antennas"
         )
-    return np.concatenate((channel.h_dl, channel.f_bs[ul_rows])).conj()
+    if not ul_rows.shape[-1]:
+        return channel.h_dl.conj()
+    return np.concatenate((channel.h_dl, _take_rows(channel.f_bs, ul_rows)), axis=-2).conj()
 
 
 def zf_precoder(m: np.ndarray):
@@ -93,24 +105,38 @@ def zf_precoder(m: np.ndarray):
 
 def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
                    baseline_sinr=None):
-    """Select uplink BSs, assemble M, and factor the precoder for one snapshot.
+    """Select uplink BSs, assemble M, and factor the precoder of a snapshot or a group.
 
     v_ul_count = 0 gives the plain joint-transmission precoder; any other
     count selects that many uplink BSs (a negative one is rejected), driven
-    by the per-UE baseline_sinr array.
+    by the per-UE baseline_sinr array. A SnapshotGroup takes its stacked
+    channel and [B, K] baseline SINRs, and makes one select_uplink_bs and
+    one assemble_m call over the group, then one zf_precoder call on each
+    member's 2-D M; every array returned gains the group's leading axis.
 
     Returns:
         w: [N_dl, K_dl + V_ul] complex, unit-norm columns. Column k < K_dl
             carries downlink UE k's stream; columns K_dl.. are the
-            zero-power dummy streams toward the selected uplink BSs.
+            zero-power dummy streams toward the selected uplink BSs. A
+            group member whose zf_precoder raises NumericalError gets a NaN
+            row of W; a single snapshot's error propagates.
         ul_rows: [V_ul] uplink rows nulled by the dummy columns (positions
             in snapshot.ul_ues / snapshot.ul_bs, rows of f_bs), in selection
             order (worst baseline uplink SINR first).
     """
     if v_ul_count == 0:
-        ul_rows = np.empty(0, dtype=int)
+        ul_rows = np.empty((*channel.h_dl.shape[:-2], 0), dtype=int)
     elif baseline_sinr is None:
         raise ConfigurationError("uplink-BS selection needs baseline SINRs")
     else:
-        ul_rows = select_uplink_bs(baseline_sinr[snapshot.ul_ues], v_ul_count)
-    return zf_precoder(assemble_m(channel, ul_rows)), ul_rows
+        ul_rows = select_uplink_bs(_take_rows(baseline_sinr, snapshot.ul_ues), v_ul_count)
+    m = assemble_m(channel, ul_rows)
+    if m.ndim == 2:
+        return zf_precoder(m), ul_rows
+    w = np.empty((len(m), m.shape[2], m.shape[1]), complex)
+    for w_row, m_row in zip(w, m):
+        try:
+            w_row[...] = zf_precoder(m_row)
+        except NumericalError:
+            w_row[...] = np.nan
+    return w, ul_rows

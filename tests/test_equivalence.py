@@ -11,6 +11,7 @@ sign that the one-update elimination flips).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -20,8 +21,8 @@ from conftest import random_scene
 from dtddsim import (ChannelRealization, NumericalError, RadioParams,
                      SingularChannelError, Snapshot, TrafficConfig, baseline_sinrs,
                      build_channel_realization, build_grid, build_precoder, draw_channel,
-                     drop_ues, generate_snapshot, jt_sinrs, path_loss_db, solve_power_lp,
-                     v_ul, v_ul_max)
+                     drop_ues, generate_snapshot, jt_sinrs, path_loss_db, select_uplink_bs,
+                     solve_power_lp, v_ul, v_ul_max)
 from dtddsim.harness import _stack
 from dtddsim.power import (LOST_FEASIBILITY, OUT_OF_PIVOTS, SOLVED, UNBOUNDED,
                            _simplex_max)
@@ -224,6 +225,49 @@ def test_stacked_draw_matches_each_members_own_draw(topology, seed, data, dl_pro
             assert (a.shape, a.dtype) == ((size, *b.shape), b.dtype), name
             assert a[row].tobytes() == b.tobytes(), (row, name)
         assert_same_stream(streams[0][row], member)
+
+
+@settings(max_examples=100, deadline=None)
+@given(topology=topologies(), seed=seeds, data=st.data(), delta=st.integers(0, 4))
+def test_group_precoder_matches_each_members_own_call(topology, seed, data, delta):
+    # a shape group's build_precoder call against each member's own call on
+    # its row of the group's channels and baseline SINRs: the same W and
+    # ul_rows bytes, whatever the member's place in the stack. One member's
+    # M rows are made parallel, so where M has two rows or more it is rank
+    # deficient: its own call raises, its row of the group's W is NaN, and
+    # every other row stays exact
+    k = data.draw(st.integers(1, quick_drop_limit(topology)))
+    size = data.draw(st.integers(2, 6))
+    bad = data.draw(st.integers(0, size - 1))
+    rng = np.random.default_rng(seed)
+    is_downlink = rng.random(k) < 0.5
+    is_downlink[0] = True  # at least one downlink UE to precode for
+    snaps = [Snapshot(drop_ues(topology, k, rng), rng.permutation(is_downlink), topology.n_bs)
+             for _ in range(size)]
+    params = RadioParams()
+    chan = build_channel_realization(_stack(SnapshotGroup, snaps), topology, params,
+                                     [np.random.default_rng(seed + 1 + i) for i in range(size)])
+    chan.f_bs[bad] = chan.h_dl[bad] = chan.h_dl[bad, :1]
+    base = baseline_sinrs(_stack(SnapshotGroup, snaps), chan, params)
+    snap = snaps[0]
+    v = v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
+    w, ul_rows = build_precoder(_stack(SnapshotGroup, snaps), chan, v, base)
+    assert (w.shape, ul_rows.shape) == ((size, snap.n_dl_count, snap.k_dl + v), (size, v))
+    for row, member in enumerate(snaps):
+        own_chan = ChannelRealization(chan.h_dl[row], chan.f_bs[row], chan.g_ue[row],
+                                      chan.h_ul[row])
+        if row == bad and snap.k_dl + v > 1:
+            with pytest.raises(NumericalError):
+                build_precoder(member, own_chan, v, base[row])
+            assert np.isnan(w[row]).all()
+            own_rows = (select_uplink_bs(base[row][member.ul_ues], v) if v
+                        else np.empty(0, int))
+        else:
+            own_w, own_rows = build_precoder(member, own_chan, v, base[row])
+            assert (w[row].dtype, w[row].shape) == (own_w.dtype, own_w.shape)
+            assert w[row].tobytes() == own_w.tobytes(), row
+        assert ul_rows[row].dtype == own_rows.dtype
+        assert ul_rows[row].tobytes() == own_rows.tobytes(), row
 
 
 @settings(max_examples=100, deadline=None)

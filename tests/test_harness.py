@@ -489,10 +489,10 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # counted where the benchmark's trace wraps them (sweepbench/spans.py),
     # whose per-call counters read one 2-D M per zf_precoder call, the three
     # positional arguments of solve_power_lp and the len of drop_ues's result;
-    # the channel draw and the SINR and rate kernels take a shape group's
-    # snapshots stacked on a leading axis (the draw with one stream per
-    # member), the power LP a chunk's LPs padded to one shape, so they are
-    # counted in snapshots (LPs) as well as in calls
+    # the channel draw, the precoder, M's assembly and the SINR and rate
+    # kernels take a shape group's snapshots stacked on a leading axis (the
+    # draw with one stream per member), the power LP a chunk's LPs padded to
+    # one shape, so they are counted in snapshots (LPs) as well as in calls
     calls, stacked, shapes, log = Counter(), Counter(), set(), []
     original_chunk = harness._run_chunk
 
@@ -520,7 +520,9 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
                 shapes.add((_name, len(result)))
             elif _name == "build_channel_realization":
                 stacked[_name] += len(args[3])
-            elif _name in ("baseline_sinrs", "jt_sinrs"):
+            elif _name == "build_precoder":
+                stacked[_name] += len(result[0])
+            elif _name in ("baseline_sinrs", "jt_sinrs", "assemble_m"):
                 stacked[_name] += len(result)
                 stacked["most"] = max(stacked["most"], len(result))
             elif _name == "snapshot_metrics":
@@ -532,23 +534,23 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     # when it has dummy streams (none at full load), else JT's result is reused
     with_dummies = [r for r in res.records if r.scheme == "jt_ds" and r.v_ul > 0]
     assert stacked["baseline_sinrs"] == 20
-    assert calls["build_precoder"] == 20 + len(with_dummies)
+    assert stacked["build_precoder"] == 20 + len(with_dummies)
     assert 0 < len(with_dummies) <= 10
     for name in ("drop_ues", "generate_snapshot"):
         assert calls[name] == 20
     assert stacked["build_channel_realization"] == 20
-    for name in ("assemble_m", "zf_precoder"):
-        assert calls[name] == calls["build_precoder"]
+    # one stacked M per precoder call, and one SVD per row of it
+    assert stacked["assemble_m"] == calls["zf_precoder"] == stacked["build_precoder"]
     for name in ("solve_power_lp", "jt_sinrs"):
-        assert stacked[name] == calls["build_precoder"]
+        assert stacked[name] == stacked["build_precoder"]
     # one per distinct key: the baseline's, JT's and JT-DS's when it has dummies
-    assert stacked["snapshot_metrics"] == 20 + calls["build_precoder"]
+    assert stacked["snapshot_metrics"] == 20 + stacked["build_precoder"]
     # the 20 tasks make a chunk of 10 per point, whose shape groups hold
     # several snapshots
     assert log.count("chunk") == 2
     assert stacked["most"] > 1
-    for name in ("build_channel_realization", "baseline_sinrs", "solve_power_lp",
-                 "jt_sinrs", "snapshot_metrics"):
+    for name in ("build_channel_realization", "baseline_sinrs", "build_precoder",
+                 "assemble_m", "solve_power_lp", "jt_sinrs", "snapshot_metrics"):
         assert calls[name] < stacked[name]
     # at most one LP call per chunk, whose per-element counts go by keyword
     assert calls["solve_power_lp"] <= log.count("chunk")
