@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelRealization, RadioParams, build_channel_realization
-from .exceptions import ConfigurationError, NumericalError, check_field_types
+from .exceptions import ConfigurationError, check_field_types
 from .metrics import (SnapshotMetrics, SweepPointSummary, aggregate, baseline_sinrs,
                       jt_sinrs, snapshot_metrics)
 from .power import solve_power_lp
@@ -233,9 +233,9 @@ def _padded(lps, rows, k_dl_max: int) -> np.ndarray:
     The stack's shape is the largest [N_dl, K_dl]; real rows and columns
     come first, and the keys' rows follow one another.
     """
-    w = np.zeros((sum(map(len, rows)), max(w_key.shape[1] for _, w_key, _, _ in lps),
+    w = np.zeros((sum(map(len, rows)), max(w_key.shape[1] for _, w_key, _ in lps),
                   k_dl_max), complex)
-    for (k_dl, w_key, _, _), r, end in zip(lps, rows, np.cumsum(list(map(len, rows)))):
+    for (k_dl, w_key, _), r, end in zip(lps, rows, np.cumsum(list(map(len, rows)))):
         w[end - len(r):end, :w_key.shape[1], :k_dl] = w_key[r, :, :k_dl]
     return w
 
@@ -246,16 +246,15 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
     Each group makes one baseline_sinrs call and one evaluation per V_ul
     key; a precoded key's rows fill stacked W and p. Each (group, key)
     makes one build_precoder call, then one power LP call runs over the
-    chunk's rows still ok, each an LP over its K_dl data columns (dummy
-    columns carry no powers) zero-padded to the chunk's largest, then each
-    evaluation's jt_sinrs and snapshot_metrics over its whole group, so
-    each layer spans the chunk. A precoder's NaN row (or its NumericalError,
-    for the whole key) or an LP's NaN row clears its own row of the ok mask;
-    its zero W or p gives finite SINRs, which no caller reads. Yields, per
-    shape group, its members and {scheme: (V_ul key, ok, stacked
-    SnapshotMetrics)}.
+    chunk's rows whose W is not NaN, each an LP over its K_dl data columns
+    (dummy columns carry no powers) zero-padded to the chunk's largest,
+    then each evaluation's jt_sinrs and snapshot_metrics over its whole
+    group, so each layer spans the chunk. A failure is a NaN row from the
+    layer that fails, the precoder's W or the LP's p, and it stays NaN
+    through the SINRs and rates of its own row. Yields, per shape group,
+    its members and {scheme: (V_ul key, stacked SnapshotMetrics)}.
     """
-    chunk = []  # per shape group: members, group, channels, SINRs, keys, {key: (W, p, ok)}
+    chunk = []  # per shape group: members, group, channels, SINRs, keys, {key: (W, p)}
     for members, group, chan in groups:
         keys = {scheme: _v_ul_key(scheme, snaps[members[0]], delta) for scheme in schemes}
         # JT needs no baseline; the baseline scheme and JT-DS selection do
@@ -263,40 +262,30 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
                 if any(v is None or v > 0 for v in keys.values()) else None)
         chunk.append((members, group, chan, base, keys, {}))
 
-    lps = []  # every precoded key of the chunk: K_dl, W, p, ok
+    lps = []  # every precoded key of the chunk: K_dl, W, p
     for members, group, chan, base, keys, precoded in chunk:
-        k_dl, n_dl = chan.h_dl.shape[1:]
-        for v in dict.fromkeys(keys.values()):
-            if v is None:
-                continue
-            try:
-                w = build_precoder(group, chan, v, base if v else None)[0]
-            except NumericalError:  # the whole key fails
-                w = np.full((len(members), n_dl, k_dl + v), np.nan, complex)
-            ok = ~np.isnan(w[:, 0, 0])
-            w[~ok] = 0.0
-            precoded[v] = w, np.zeros((len(members), k_dl + v)), ok
+        k_dl = chan.h_dl.shape[1]
+        for v in dict.fromkeys(v for v in keys.values() if v is not None):
+            w = build_precoder(group, chan, v, base if v else None)[0]
+            precoded[v] = w, np.zeros((len(members), k_dl + v))
             lps.append((k_dl, *precoded[v]))
     if lps:
-        rows = [np.flatnonzero(ok) for _, _, _, ok in lps]
-        k_dl_max = max(k_dl for k_dl, _, _, _ in lps)
-        k_each = np.repeat([k_dl for k_dl, _, _, _ in lps], list(map(len, rows)))
+        rows = [np.flatnonzero(~np.isnan(w[:, 0, 0])) for _, w, _ in lps]
+        k_dl_max = max(k_dl for k_dl, _, _ in lps)
+        k_each = np.repeat([k_dl for k_dl, _, _ in lps], list(map(len, rows)))
         # the padded stack is bound to no name here, so the LP can free it as it pivots
         p = solve_power_lp(_padded(lps, rows, k_dl_max), params.p_b_max_w, k_dl_max,
                            k_dl_each=k_each)
-        for (k_dl, _, p_key, ok), r in zip(lps, rows):  # each key's rows in turn
-            p_rows, p = p[:len(r), :k_dl], p[len(r):]
-            ok[r] = solved = ~np.isnan(p_rows).any(1)
-            p_key[r[solved], :k_dl] = p_rows[solved]
+        for (k_dl, _, p_key), r in zip(lps, rows):  # each key's rows in turn
+            p_key[r, :k_dl], p = p[:len(r), :k_dl], p[len(r):]
     for members, group, chan, base, keys, precoded in chunk:
-        metrics = {}  # the None key reads the baseline SINRs, and never fails
+        metrics = {}  # the None key reads the baseline SINRs
         if None in keys.values():
-            ok = np.ones(len(members), bool)
-            metrics[None] = ok, snapshot_metrics(group, base, params.bandwidth_hz)
-        for v, (w, p, ok) in precoded.items():
+            metrics[None] = snapshot_metrics(group, base, params.bandwidth_hz)
+        for v, (w, p) in precoded.items():
             sinrs = jt_sinrs(group, chan, params, w, p)
-            metrics[v] = ok, snapshot_metrics(group, sinrs, params.bandwidth_hz)
-        yield members, {scheme: (v, *metrics[v]) for scheme, v in keys.items()}
+            metrics[v] = snapshot_metrics(group, sinrs, params.bandwidth_hz)
+        yield members, {scheme: (v, metrics[v]) for scheme, v in keys.items()}
 
 
 def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
@@ -313,15 +302,16 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
              BSs, which join the precoder as zero-power rows, then power LP.
     Schemes with one key share one evaluation, so JT-DS at V_ul = 0 is JT.
     The baseline SINRs are computed at most once, and only if the baseline
-    or a JT-DS selection needs them. A NumericalError of the precoder or a
-    failed power LP fails only its own key. This is the sweep's evaluation of
-    a chunk of one snapshot.
+    or a JT-DS selection needs them. A precoder or power LP that fails
+    (a NaN sum rate) fails only its own key. This is the sweep's evaluation
+    of a chunk of one snapshot.
     """
     group = ([0], _stack(SnapshotGroup, [snap]), _stack(ChannelRealization, [chan]))
     [(_, results)] = _evaluate_chunk([snap], [group], params, schemes, delta)
-    return {scheme: (v or 0, SnapshotMetrics(m.per_ue_sinr[0], *(float(rates[0]) for rates in (
-        m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))) if ok[0] else None)
-            for scheme, (v, ok, m) in results.items()}
+    return {scheme: (v or 0, None if np.isnan(m.sum_rate_bps[0]) else SnapshotMetrics(
+        m.per_ue_sinr[0], *(float(rates[0]) for rates in (
+            m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))))
+            for scheme, (v, m) in results.items()}
 
 
 def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarray:
@@ -336,11 +326,13 @@ def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarra
     block["k_ul"] = [snap.k_ul for snap in snaps]
     for members, results in _evaluate_chunk(snaps, groups, config.radio, config.schemes,
                                             config.delta):
-        for row, (v, ok, m) in zip(block, results.values()):
+        for row, (v, m) in zip(block, results.values()):
             row["v_ul"][members] = v or 0
-            row["failed"][members] = ~ok
+            row["failed"][members] = failed = np.isnan(m.sum_rate_bps)
             for name in ("dl_sum_rate_bps", "ul_sum_rate_bps", "sum_rate_bps"):
-                row[name][members] = np.where(ok, getattr(m, name), np.nan)
+                # a failed row reads NaN in every rate, though without
+                # uplink UEs its uplink sum adds up no NaN
+                row[name][members] = np.where(failed, np.nan, getattr(m, name))
     return block
 
 

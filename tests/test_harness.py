@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -30,6 +31,15 @@ def small_config(**kw):
     base = dict(utilizations=(0.25, 0.75), snapshots_per_point=25, master_seed=5)
     base.update(kw)
     return SimulationConfig(**base)
+
+
+@contextlib.contextmanager
+def only_the_failure_rate_warning():
+    # a failed evaluation's NaN row passes through the SINR and rate
+    # arithmetic without a warning of its own
+    with pytest.warns(RuntimeWarning, match="failed") as record:
+        yield
+    assert len(record) == 1, [str(w.message) for w in record]
 
 
 def test_derive_stream_reproducible():
@@ -271,9 +281,9 @@ def test_failed_snapshots_are_flagged_and_excluded(tmp_path, monkeypatch):
     def always_singular(*args, **kwargs):
         raise SingularChannelError("forced by test")
 
-    monkeypatch.setattr(harness, "build_precoder", always_singular)
+    monkeypatch.setattr(precoding, "zf_precoder", always_singular)
     cfg = small_config(snapshots_per_point=10, utilizations=(0.5,))
-    with pytest.warns(RuntimeWarning, match="failed"):
+    with only_the_failure_rate_warning():
         res = run_sweep(cfg)
     assert len(res.records) == 30
     jt = [r for r in res.records if r.scheme == "jt"]
@@ -286,6 +296,24 @@ def test_failed_snapshots_are_flagged_and_excluded(tmp_path, monkeypatch):
     assert by_scheme["baseline"]["mean_sum_rate_bps"] > 0
     write_results(res, tmp_path)  # nan rows serialize fine
     assert ",nan," in (tmp_path / "records.csv").read_text()
+
+
+def test_failed_rows_without_uplink_ues_read_nan_in_every_rate(monkeypatch):
+    # downlink-only snapshots: a failed row's uplink sum runs over no UE,
+    # and still reads NaN like the row's other rates
+    def always_singular(*args, **kwargs):
+        raise SingularChannelError("forced by test")
+
+    monkeypatch.setattr(precoding, "zf_precoder", always_singular)
+    cfg = small_config(snapshots_per_point=10, utilizations=(0.5,), traffic=TrafficConfig(
+        dl_probability=1.0, require_mixed_traffic=False))
+    with only_the_failure_rate_warning():
+        records = run_sweep(cfg).records
+    precoded = records[records.scheme != "baseline"]
+    assert (precoded.k_ul == 0).all() and precoded.failed.all()
+    assert np.isnan([precoded.dl_sum_rate_bps, precoded.ul_sum_rate_bps,
+                     precoded.sum_rate_bps]).all()
+    assert not records[records.scheme == "baseline"].failed.any()
 
 
 @pytest.mark.parametrize("module, name, error", [
@@ -305,7 +333,7 @@ def test_numerical_failures_are_flagged_and_excluded(monkeypatch, module, name, 
 
     monkeypatch.setattr(module, name, failing)
     cfg = small_config(snapshots_per_point=10, utilizations=(0.5,))
-    with pytest.warns(RuntimeWarning, match="failed"):
+    with only_the_failure_rate_warning():
         res = run_sweep(cfg)
     assert len(res.records) == 30
     for r in res.records:
@@ -443,7 +471,8 @@ def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed
     # over sweeps of one or several chunks of one or several tasks. Evaluations
     # fail never, always (the power LP returns every element as a NaN row, so
     # every precoded evaluation is a failed row) or only with dummy streams
-    # (their precoder raises; failed and clean evaluations share a chunk)
+    # (their precoder returns NaN rows of W; failed and clean evaluations
+    # share a chunk)
     original_lp, original_precoder = harness.solve_power_lp, harness.build_precoder
 
     def failing_lp(w, p_b_max_w, k_dl, **kwargs):
@@ -453,9 +482,10 @@ def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed
         return p
 
     def failing_precoder(snap, chan, v, base):
+        w, ul_rows = original_precoder(snap, chan, v, base)
         if fail == "dummies" and v > 0:
-            raise NumericalError("forced by test")
-        return original_precoder(snap, chan, v, base)
+            w[...] = np.nan
+        return w, ul_rows
 
     cfg = small_config(utilizations=tuple(utilizations), schemes=tuple(schemes),
                        delta=delta, snapshots_per_point=snapshots, master_seed=seed)
@@ -601,12 +631,13 @@ def test_failure_fails_only_its_own_evaluation(monkeypatch):
     original = harness.build_precoder
 
     def fails_with_dummy_streams(snap, chan, v, base):
+        w, ul_rows = original(snap, chan, v, base)
         if v > 0:
-            raise NumericalError("forced by test")
-        return original(snap, chan, v, base)
+            w[...] = np.nan
+        return w, ul_rows
 
     monkeypatch.setattr(harness, "build_precoder", fails_with_dummy_streams)
-    with pytest.warns(RuntimeWarning, match="failed"):
+    with only_the_failure_rate_warning():
         res = run_sweep(cfg)
     # failed records keep the V_ul their evaluation attempted
     assert [r.v_ul for r in res.records] == [r.v_ul for r in clean.records]
@@ -621,23 +652,34 @@ def test_failure_fails_only_its_own_evaluation(monkeypatch):
         assert entry["n_failed"] == sum(r.failed for r in point)
 
 
-def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch):
-    # the LP fails on about half of the precoded jobs (their elements of the
-    # stacked LP come back as NaN rows), so shape groups mix masked rows
-    # (zero powers, read as failed) with evaluated ones in their stacked SINR
-    # and rate calls; each point's 25 tasks make one chunk, and K differs
+@pytest.mark.parametrize("layer", ["power_lp", "precoder"])
+def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch, layer):
+    # the failing layer returns NaN rows: the LP on about half of the
+    # precoded jobs (their elements of the stacked LP), or the precoder on
+    # every third SVD (its row of W, which the LP then leaves out), so shape
+    # groups mix failed rows with evaluated ones in their stacked SINR and
+    # rate calls; each point's 25 tasks make one chunk, and K differs
     # between the points, so each (k_dl, k_ul) is one group
     cfg = small_config(snapshots_per_point=25)
     clean = run_sweep(cfg).records
-    original = harness.solve_power_lp
+    original_lp, original_zf, calls = harness.solve_power_lp, precoding.zf_precoder, Counter()
 
     def fails_on_half(w, p_b_max_w, k_dl, **kwargs):
-        p = original(w, p_b_max_w, k_dl, **kwargs)
+        p = original_lp(w, p_b_max_w, k_dl, **kwargs)
         p[w[:, 0, 0].real > 0] = np.nan
         return p
 
-    monkeypatch.setattr(harness, "solve_power_lp", fails_on_half)
-    with pytest.warns(RuntimeWarning, match="failed"):
+    def fails_every_third(m):
+        calls["zf_precoder"] += 1
+        if calls["zf_precoder"] % 3 == 0:
+            raise SingularChannelError("forced by test")
+        return original_zf(m)
+
+    if layer == "power_lp":
+        monkeypatch.setattr(harness, "solve_power_lp", fails_on_half)
+    else:
+        monkeypatch.setattr(precoding, "zf_precoder", fails_every_third)
+    with only_the_failure_rate_warning():
         records = run_sweep(cfg).records
     jt = records[records.scheme == "jt"]
     partial = ({(r.k_dl, r.k_ul) for r in jt if r.failed}
@@ -645,3 +687,7 @@ def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch):
     assert partial
     kept = ~records.failed
     assert records[kept].tobytes() == clean[kept].tobytes()
+    failed = records[records.failed]
+    assert np.isnan([failed.dl_sum_rate_bps, failed.ul_sum_rate_bps,
+                     failed.sum_rate_bps]).all()
+    assert (records.v_ul == clean.v_ul).all()
