@@ -9,7 +9,6 @@ bit independent of worker count, chunk size and scheduling order.
 import dataclasses
 import json
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -137,11 +136,9 @@ def derive_stream(master_seed: int, utilization_index: int,
 
 
 # numpy's SeedSequence constants: hashmix step k of a pass xors c = init * mult^k mod 2^32,
-# then multiplies by c * mult; and PCG64's 128-bit LCG multiplier
+# then multiplies by c * mult
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)  # (init, mult)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-_POOL = threading.local()  # each thread's Generators, reseeded chunk by chunk
 
 
 def _hashmix(value, consts, n: int, into=None):
@@ -155,15 +152,23 @@ def _hashmix(value, consts, n: int, into=None):
     return value
 
 
+class _State(np.random.bit_generator.ISeedSequence):
+    """One task's generate_state(4, uint64): native, C-contiguous words PCG64 reads as is."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _streams(master_seed: int, tasks) -> list:
-    """derive_stream's stream of each (u, s) task, set on this thread's pooled Generators.
+    """derive_stream's Generator of each (u, s) task, its seed words hashed in one batch.
 
     SeedSequence(master_seed, spawn_key=(u, s)) first mixes the seed's
     uint32 words, zero-padded to 4, into SeedSequence(master_seed)'s pool,
     in 4 hashmix steps per word; then it mixes in u and s, here one uint32
-    lane per key. PCG64 seeds from generate_state(4, uint64) = (initstate,
-    initseq), high words first: from state 0, one LCG step sets the state
-    to inc; initstate is added, and it steps once more.
+    lane per key. PCG64 then seeds itself from each lane's generate_state(4, uint64).
     """
     hash_a, hash_b = (pairwise(accumulate(repeat(mult), lambda c, m: c * m & 0xFFFFFFFF,
                                           initial=init)) for init, mult in (_HASH_A, _HASH_B))
@@ -172,14 +177,8 @@ def _streams(master_seed: int, tasks) -> list:
     for word in np.array(tasks, np.uint32).T[..., None]:
         pool = _hashmix(word, hash_a, 4, into=pool)
     words = _hashmix(np.tile(pool, 2), hash_b, 8)  # generate_state cycles the pool
-    rngs = _POOL.__dict__.setdefault("rngs", [])
-    rngs.extend(np.random.Generator(np.random.PCG64(0)) for _ in range(len(tasks) - len(rngs)))
-    for rng, (hi, lo, seq_hi, seq_lo) in zip(rngs, words.astype("<u4").view("<u8").tolist()):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
-    return rngs[:len(tasks)]
+    words = words.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_State(row))) for row in words]
 
 
 def _realize(config: SimulationConfig, topology: Topology, tasks):

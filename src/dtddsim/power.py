@@ -4,8 +4,8 @@ The production path maximizes the plain power sum over the data streams,
 which is a linear program: maximize sum_k p_k subject to
 sum_k |w_nk|^2 p_k <= P_b for every antenna n and p >= 0, with the dummy
 streams pinned at zero. Instances are tiny (at most N variables and N
-constraints) and come a shape group at a time, so the LP is solved by an
-in-repo dense simplex over a stack of them.
+constraints) and come a chunk at a time, zero-padded to the chunk's largest
+shape, so the LP is solved by an in-repo dense simplex over a stack of them.
 """
 
 import numpy as np

@@ -97,8 +97,8 @@ class Snapshot:
 class SnapshotGroup:
     """Snapshots of one partition shape, each index array stacked on a leading axis.
 
-    The channel draw and the SINR and rate kernels read these fields as one
-    Snapshot's, so a group of B snapshots takes one call where B take B.
+    The channel draw, the precoder and the SINR and rate kernels read these
+    fields as one Snapshot's, so a group of B snapshots takes one call where B take B.
     """
 
     positions: np.ndarray  # [B, K, 2]

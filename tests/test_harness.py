@@ -85,10 +85,21 @@ def test_batched_streams_match_derive_stream(master_seed, tasks):
             assert draw(rng).tobytes() == draw(fresh).tobytes()
 
 
-def test_threads_keep_their_own_pooled_streams(tmp_path):
+def test_batched_streams_outlive_the_next_batch():
+    # each call hands out Generators of its own: a later batch on the same
+    # thread leaves an earlier one's states and draws as derive_stream's
+    first = harness._streams(1, [(0, 0), (0, 1)])
+    second = harness._streams(1, [(1, 5)])
+    assert all(rng is not other for rng in first for other in second)
+    for (u, s), rng in zip([(0, 0), (0, 1)], first):
+        fresh = derive_stream(1, u, s)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert rng.random(3).tobytes() == fresh.random(3).tobytes()
+
+
+def test_threaded_sweeps_give_their_serial_bytes(tmp_path):
     # three sweeps at once (more threads than a 2-core machine has), on
-    # different seeds, switching threads often: each thread's pooled
-    # Generators must give its serial bytes
+    # different seeds, switching threads often: each must give its serial bytes
     configs = [small_config(master_seed=seed) for seed in (3, 2**32, 7)]
     for i, cfg in enumerate(configs):
         write_results(run_sweep(cfg), tmp_path / f"serial{i}")
@@ -106,10 +117,8 @@ def test_threads_keep_their_own_pooled_streams(tmp_path):
         for name in ("records.csv", "summary.json"):
             assert ((tmp_path / f"serial{i}" / name).read_bytes()
                     == (tmp_path / f"thread{i}" / name).read_bytes())
-    # derive_stream hands out a fresh Generator, never a pooled one
+    # the sweeps leave a Generator from derive_stream untouched
     assert fresh.bit_generator.state == state
-    assert len(harness._POOL.rngs) <= harness.CHUNK
-    assert all(rng is not fresh for rng in harness._POOL.rngs)
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):

@@ -8,12 +8,15 @@ runs a fixed list of sweep configurations in it and in this checkout's
 working tree (or in a second export, with --change), each tree in one
 subprocess that imports dtddsim from its own src/. The list is the seven
 configurations tests/test_golden.py pins, the three benchmark workloads'
-grids at delta 0 and 2, and the paper grid again at delta 0 and 2 on a
-process pool of 2 workers, so that the pool's chunk cut and the chunks its
-workers evaluate are compared too. Per configuration it compares the record
-tables bit for bit, the bytes records.tobytes() holds, which the 12-digit
-records.csv rounds away, and prints the number of rows that differ, the
-columns they differ in and the largest relative difference.
+grids at delta 0 and 2, the paper grid again at delta 0 and 2 on a process
+pool of 2 workers, so that the pool's chunk cut and the chunks its workers
+evaluate are compared too, and two sweeps on the master seed 2**64 + 3,
+whose stream keys hash three uint32 seed words where the other
+configurations' seeds hash one: at delta 2 on one worker, and on a pool of
+2 workers. Per configuration it compares the record tables bit for bit,
+the bytes records.tobytes() holds, which the 12-digit records.csv rounds
+away, and prints the number of rows that differ, the columns they differ
+in and the largest relative difference.
 
 Both trees' subprocesses inherit this process's environment, so a setting
 such as OPENBLAS_CORETYPE or NPY_DISABLE_CPU_FEATURES compares like with
@@ -58,6 +61,11 @@ CONFIGS = {
     **{f"paper_grid_delta_{delta}_2w": dict(utilizations=PAPER_GRID, snapshots_per_point=100,
                                             master_seed=1, delta=delta, worker_count=2)
        for delta in (0, 2)},
+    # a seed of three uint32 words, so that its words past the first key the streams too
+    "big_seed_delta_2": dict(utilizations=(0.25, 0.75), snapshots_per_point=100,
+                             master_seed=2**64 + 3, delta=2),
+    "big_seed_2w": dict(utilizations=PAPER_GRID, snapshots_per_point=50,
+                        master_seed=2**64 + 3, worker_count=2),
 }
 
 # run in each tree: every configuration's record table, into one .npz
