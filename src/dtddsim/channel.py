@@ -8,7 +8,7 @@ exactly one independent fading draw per snapshot; no reciprocity is assumed.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
     """Draw all four coefficient matrices of one snapshot, or of each member of a group.
 
     Takes one Snapshot with one Generator, or a SnapshotGroup with one
-    Generator per member, whose matrices gain the group's leading axis.
+    Generator per member; every gather keeps leading axes, so a group's matrices gain its own.
     Each member makes one normal draw from its own stream, laid out as
     draw_channel on each matrix in the order h_dl, f_bs, g_ue, h_ul would
     draw it: per matrix, its real parts, then its imaginary parts.
@@ -117,28 +117,25 @@ def build_channel_realization(snapshot, topology: Topology, params: RadioParams,
     any group. The four matrices cover disjoint (tx, rx) pair types, so
     every physical pair is drawn exactly once.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     b = len(rngs)
-    ues = snapshot.positions.reshape(-1, 2)
-    first = np.arange(0, len(ues), len(ues) // b)[:, None]  # each member's UE 0
-    dl_ue, ul_ue = (ues[first + idx.reshape(b, idx.shape[-1])]
+    dl_ue, ul_ue = (np.take_along_axis(snapshot.positions, idx[..., None], axis=-2)
                     for idx in (snapshot.dl_ues, snapshot.ul_ues))
-    dl_bs, ul_bs = (topology.bs_positions[idx.reshape(b, idx.shape[-1])]
-                    for idx in (snapshot.n_dl, snapshot.ul_bs))
+    dl_bs, ul_bs = (topology.bs_positions[idx] for idx in (snapshot.n_dl, snapshot.ul_bs))
     blocks = ((dl_ue, dl_bs), (ul_bs, dl_bs), (dl_ue, ul_ue), (ul_ue, ul_bs))  # (rows, cols)
-    bounds = list(accumulate((rows.shape[1] * cols.shape[1] for rows, cols in blocks), initial=0))
-    ranges = list(zip(bounds, bounds[1:]))
-    dist = np.concatenate([pairwise_distances(rows, cols) for rows, cols in blocks], axis=None)
-    pl = path_loss_db(dist, params.carrier_freq_ghz)
-    normals = np.empty((b, 2 * bounds[-1]))
+    dist = [pairwise_distances(rows, cols) for rows, cols in blocks]
+    shapes = [d.shape for d in dist]
+    pl = path_loss_db(np.concatenate(dist, axis=None), params.carrier_freq_ghz)
+    del dist  # past the path loss, only the block shapes are needed
+    ranges = list(pairwise(accumulate((shape[-2] * shape[-1] for shape in shapes), initial=0)))
+    normals = np.empty((b, 2 * ranges[-1][1]))
     for member, stream in zip(normals, rngs):
         stream.standard_normal(out=member)
     # block-major: each block's members in turn, so each block is contiguous
     re, im = np.concatenate([normals[:, 2 * lo:2 * hi].reshape(b, 2, hi - lo).swapaxes(0, 1)
                              .reshape(2, b * (hi - lo)) for lo, hi in ranges], axis=1)
-    del dist, normals  # freed before the fading's temporaries: a group's arrays are large
+    del normals  # freed before the fading's temporaries: a group's arrays are large
     gains = _fading(pl, re, im)
-    h_dl, f_bs, g_ue, h_ul = (gains[b * lo:b * hi].reshape(rows.shape[single:2] + cols.shape[1:2])
-                              for (lo, hi), (rows, cols) in zip(ranges, blocks))
+    h_dl, f_bs, g_ue, h_ul = (gains[b * lo:b * hi].reshape(shape)
+                              for (lo, hi), shape in zip(ranges, shapes))
     return ChannelRealization(h_dl=h_dl, f_bs=f_bs, g_ue=g_ue, h_ul=h_ul)

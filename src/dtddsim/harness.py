@@ -113,7 +113,7 @@ RECORD_DTYPE = np.dtype([
     ("sum_rate_bps", np.float64), ("failed", np.bool_)])
 CSV_HEADER = ",".join(RECORD_DTYPE.names)
 _CSV_ROW = ",".join({"f": "%.12g", "b": "%d"}.get(RECORD_DTYPE[name].kind, "%s")
-                    for name in RECORD_DTYPE.names)
+                    for name in RECORD_DTYPE.names) + "\n"
 
 
 @dataclass
@@ -182,42 +182,36 @@ def _streams(master_seed: int, tasks) -> list:
 
 
 def _realize(config: SimulationConfig, topology: Topology, tasks):
-    """The tasks' snapshots, in task order, and their (members, group, channels) shape groups.
+    """The tasks' (members, group, channels) shape groups; members index into tasks.
 
     Each task draws from its own stream, first its snapshot, then its
     channel; the chunk makes all streams, then all snapshots, then one
-    channel draw per group of snapshots whose four blocks have the same
-    shapes (with one UE per BS, one (K_dl, K_ul) pair), into stacked blocks.
+    channel draw per (K_dl, K_ul) group, into stacked blocks of one shape:
+    with one UE per BS, N_ul = K_ul and N_dl = n_bs - K_ul.
     """
     rngs = _streams(config.master_seed, tasks)
     snaps = [generate_snapshot(topology, config.utilizations[u_idx], config.traffic, rng)
              for (u_idx, _), rng in zip(tasks, rngs)]
     shapes = {}
     for i, snap in enumerate(snaps):
-        shapes.setdefault((snap.k_dl, snap.n_dl_count, snap.k_ul, snap.n_ul_count), []).append(i)
+        shapes.setdefault((snap.k_dl, snap.k_ul), []).append(i)
     groups = [(members, _stack(SnapshotGroup, [snaps[i] for i in members]))
               for members in shapes.values()]
-    return snaps, [(members, group, build_channel_realization(
+    return [(members, group, build_channel_realization(
         group, topology, config.radio, [rngs[i] for i in members]))
         for members, group in groups]
 
 
-def realize_point(config: SimulationConfig, topology: Topology,
-                  utilization_index: int, snapshot_index: int):
-    """Generate the shared (snapshot, channel) pair for one sweep task."""
-    (snap,), [(_, _, chan)] = _realize(config, topology, [(utilization_index, snapshot_index)])
-    return snap, ChannelRealization(chan.h_dl[0], chan.f_bs[0], chan.g_ue[0], chan.h_ul[0])
-
-
-def _v_ul_key(scheme: str, snap, delta: int):
+def _v_ul_key(scheme: str, group, delta: int):
     """The evaluation a scheme reads: None if no BS precodes, else V_ul."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if scheme == "baseline" or snap.k_dl == 0:
+    k_dl, n_dl, n_ul = (group.dl_ues.shape[-1], group.n_dl.shape[-1], group.ul_bs.shape[-1])
+    if scheme == "baseline" or k_dl == 0:
         return None
     if scheme == "jt":
         return 0
-    return v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
+    return v_ul(delta, v_ul_max(n_ul, n_dl, k_dl))
 
 
 def _stack(cls, items):
@@ -239,34 +233,33 @@ def _padded(lps, rows, k_dl_max: int) -> np.ndarray:
     return w
 
 
-def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
+def _evaluate_chunk(groups, params: RadioParams, schemes, delta: int):
     """evaluate_snapshot on each snapshot of _realize's shape groups, one layer at a time.
 
     Each group makes one baseline_sinrs call and one evaluation per V_ul
-    key; a precoded key's rows fill stacked W and p. Each (group, key)
-    makes one build_precoder call, then one power LP call runs over the
-    chunk's rows whose W is not NaN, each an LP over its K_dl data columns
-    (dummy columns carry no powers) zero-padded to the chunk's largest,
-    then each evaluation's jt_sinrs and snapshot_metrics over its whole
-    group, so each layer spans the chunk. A failure is a NaN row from the
-    layer that fails, the precoder's W or the LP's p, and it stays NaN
-    through the SINRs and rates of its own row. Yields, per shape group,
-    its members and {scheme: (V_ul key, stacked SnapshotMetrics)}.
+    key, read from its arrays; a precoded key's rows fill stacked W and p.
+    Each (group, key) makes one build_precoder call, then one power LP call
+    runs over the chunk's rows whose W is not NaN, each an LP over its K_dl
+    data columns zero-padded to the chunk's largest, then each evaluation's
+    jt_sinrs and snapshot_metrics over its whole group. A failure is a NaN
+    row from the layer that fails, W or p, and it stays NaN through its
+    row's SINRs and rates. Yields each group's {scheme: (V_ul key, stacked
+    SnapshotMetrics)}.
     """
-    chunk = []  # per shape group: members, group, channels, SINRs, keys, {key: (W, p)}
-    for members, group, chan in groups:
-        keys = {scheme: _v_ul_key(scheme, snaps[members[0]], delta) for scheme in schemes}
+    chunk = []  # per shape group: group, channels, SINRs, keys, {key: (W, p)}
+    for _, group, chan in groups:
+        keys = {scheme: _v_ul_key(scheme, group, delta) for scheme in schemes}
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
                 if any(v is None or v > 0 for v in keys.values()) else None)
-        chunk.append((members, group, chan, base, keys, {}))
+        chunk.append((group, chan, base, keys, {}))
 
     lps = []  # every precoded key of the chunk: K_dl, W, p
-    for members, group, chan, base, keys, precoded in chunk:
+    for group, chan, base, keys, precoded in chunk:
         k_dl = chan.h_dl.shape[1]
         for v in dict.fromkeys(v for v in keys.values() if v is not None):
             w = build_precoder(group, chan, v, base if v else None)[0]
-            precoded[v] = w, np.zeros((len(members), k_dl + v))
+            precoded[v] = w, np.zeros((len(w), k_dl + v))
             lps.append((k_dl, *precoded[v]))
     if lps:
         rows = [np.flatnonzero(~np.isnan(w[:, 0, 0])) for _, w, _ in lps]
@@ -277,14 +270,14 @@ def _evaluate_chunk(snaps, groups, params: RadioParams, schemes, delta: int):
                            k_dl_each=k_each)
         for (k_dl, _, p_key), r in zip(lps, rows):  # each key's rows in turn
             p_key[r, :k_dl], p = p[:len(r), :k_dl], p[len(r):]
-    for members, group, chan, base, keys, precoded in chunk:
+    for group, chan, base, keys, precoded in chunk:
         metrics = {}  # the None key reads the baseline SINRs
         if None in keys.values():
             metrics[None] = snapshot_metrics(group, base, params.bandwidth_hz)
         for v, (w, p) in precoded.items():
             sinrs = jt_sinrs(group, chan, params, w, p)
             metrics[v] = snapshot_metrics(group, sinrs, params.bandwidth_hz)
-        yield members, {scheme: (v, metrics[v]) for scheme, v in keys.items()}
+        yield {scheme: (v, metrics[v]) for scheme, v in keys.items()}
 
 
 def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
@@ -306,7 +299,7 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
     of a chunk of one snapshot.
     """
     group = ([0], _stack(SnapshotGroup, [snap]), _stack(ChannelRealization, [chan]))
-    [(_, results)] = _evaluate_chunk([snap], [group], params, schemes, delta)
+    [results] = _evaluate_chunk([group], params, schemes, delta)
     return {scheme: (v or 0, None if np.isnan(m.sum_rate_bps[0]) else SnapshotMetrics(
         m.per_ue_sinr[0], *(float(rates[0]) for rates in (
             m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))))
@@ -315,16 +308,16 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
 
 def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarray:
     """[scheme, task] RECORD_DTYPE rows of every configured scheme on each task."""
-    snaps, groups = _realize(config, topology, tasks)
+    groups = _realize(config, topology, tasks)
     block = np.empty((len(config.schemes), len(tasks)), RECORD_DTYPE)
     block["scheme"] = np.array(config.schemes)[:, None]
     block["utilization"] = np.take(config.utilizations, [u_idx for u_idx, _ in tasks])
     block["delta"] = config.delta
     block["snapshot"] = [s_idx for _, s_idx in tasks]
-    block["k_dl"] = [snap.k_dl for snap in snaps]
-    block["k_ul"] = [snap.k_ul for snap in snaps]
-    for members, results in _evaluate_chunk(snaps, groups, config.radio, config.schemes,
-                                            config.delta):
+    for (members, group, _), results in zip(groups, _evaluate_chunk(
+            groups, config.radio, config.schemes, config.delta)):
+        block["k_dl"][:, members] = group.dl_ues.shape[-1]
+        block["k_ul"][:, members] = group.ul_ues.shape[-1]
         for row, (v, m) in zip(block, results.values()):
             row["v_ul"][members] = v or 0
             row["failed"][members] = failed = np.isnan(m.sum_rate_bps)
@@ -403,15 +396,17 @@ def write_results(result: RunResult, out_dir) -> dict:
 
     Rows and summaries keep the result's order, and all numbers are
     serialized with 12 significant digits, so identical configurations
-    produce byte-identical files.
+    produce byte-identical files. records.csv is written one sweep point at a time.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name)
              for name in ("records.csv", "summary.json", "config.json")}
 
-    lines = [CSV_HEADER] + [_CSV_ROW % row for row in result.records.tolist()]
+    n = result.config.snapshots_per_point
     with open(paths["records.csv"], "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(result.records), n):
+            fh.writelines(_CSV_ROW % row for row in result.records[start:start + n].tolist())
 
     summaries = []
     for entry in result.summaries:

@@ -22,8 +22,9 @@ def _simplex_max(c, a: np.ndarray, b):
     """Maximize c @ x s.t. a @ x <= b, x >= 0, where b >= 0, for a stack of LPs.
 
     a is [B, m, n]; c and b are [B, n] and [B, m] arrays, or arrays or
-    scalars that broadcast to them. Returns x [B, n] and each element's
-    status (SOLVED or the failure's code); a failed element's x is NaN.
+    scalars that broadcast to them. Returns x [B, n], each element's vertex
+    as it left the stack (NaN if it failed), and its status (SOLVED or the
+    failure's code).
 
     Dense tableau simplex starting from the slack basis (the origin is
     feasible). Bland's rule on both the entering and leaving choice, so the
@@ -55,8 +56,7 @@ def _simplex_max(c, a: np.ndarray, b):
     basis = np.empty((size, m), int)
     basis[:] = np.arange(n, n + m)
     status = np.full(size, OUT_OF_PIVOTS)
-    # each element's basis and right-hand side when it left the stack
-    final_basis, final_rhs = basis.copy(), np.zeros((size, m))
+    x = np.zeros((size, n + m))
     live = np.arange(size)  # the stack index of each element still pivoting
     at = np.arange(size)
     for _ in range(200 * (n + m + 1)):
@@ -78,8 +78,7 @@ def _simplex_max(c, a: np.ndarray, b):
             status[live[done]] = np.where(~improving[done].any(1), SOLVED,
                                           np.where(pos[done].any(1), LOST_FEASIBILITY,
                                                    UNBOUNDED))
-            final_basis[live[done]] = basis[done]
-            final_rhs[live[done]] = t[done, :m, -1]
+            x[live[done, None], basis[done]] = t[done, :m, -1]
             t, basis, live = t[keep], basis[keep], live[keep]
             entering, leaving, factor = entering[keep], leaving[keep], factor[keep]
             at = at[:live.size]
@@ -90,11 +89,8 @@ def _simplex_max(c, a: np.ndarray, b):
         factor[at, leaving] = 0.0
         t -= factor[:, :, None] * row[:, None, :]
         basis[at, leaving] = entering
-    x = np.zeros((size, n + m))
-    x[np.arange(size)[:, None], final_basis] = final_rhs
-    x = x[:, :n]
     x[status != SOLVED] = np.nan
-    return x, status
+    return x[:, :n], status
 
 
 def _antenna_gains(w: np.ndarray, k_dl: int, data=True) -> np.ndarray:
@@ -115,8 +111,8 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int, *, k_dl_each=None) -> n
 
     w is one precoder [N_dl, R] or a stack [..., N_dl, R] of them. Returns
     p of shape [..., R]: per precoder, the LP maximizer over the first k_dl
-    entries and zeros for the dummy streams, or a row of NaN if its simplex
-    failed; the other rows are unchanged by it. Any vertex optimum is
+    entries, or NaN there if its simplex failed, and zeros for the dummy
+    streams; a failed row leaves the other rows unchanged. Any vertex optimum is
     acceptable; the optimal objective value is unique even when the
     optimizer is not.
 
@@ -132,8 +128,7 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int, *, k_dl_each=None) -> n
     # a list, the gains pass with no other reference, and its tableau copies them
     gains = [_antenna_gains(w, k_dl, data).reshape(-1, shape[-2], k_dl)]
     del w
-    x, status = _simplex_max(data.reshape(-1, k_dl), gains.pop(), float(p_b))
+    x, _ = _simplex_max(data.reshape(-1, k_dl), gains.pop(), float(p_b))
     p = np.zeros((len(x), shape[-1]))
-    p[:, :k_dl] = np.maximum(x, 0.0)
-    p[status != SOLVED] = np.nan
+    p[:, :k_dl] = np.maximum(x, 0.0)  # NaN where the simplex failed
     return p.reshape(*shape[:-2], shape[-1])

@@ -29,11 +29,6 @@ def v_ul(delta: int, v_ul_max: int) -> int:
     return max(0, v_ul_max - delta)
 
 
-def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """a[rows] for one snapshot; for a stack, each member's a[b][rows[b]]."""
-    return a[rows] if rows.ndim == 1 else a[np.arange(len(rows))[:, None], rows]
-
-
 def select_uplink_bs(ul_sinrs, v_ul: int) -> np.ndarray:
     """Uplink rows of the v_ul worst uplink UEs under the uncoordinated scheme.
 
@@ -58,9 +53,9 @@ def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
 
     Row i < K_dl is h_i^H (conjugated channel of downlink UE i); the
     remaining rows are f_b^H for the uplink BSs at ul_rows of f_bs, in that
-    order. Requires K_dl >= 1 and K_dl + V_ul <= N_dl. A shape group's
-    stacked channel with [B, V_ul] ul_rows gives the [B, K_dl + V_ul, N_dl]
-    stack of its members' M; with no row selected, M is h_dl conjugated.
+    order. Requires K_dl >= 1 and K_dl + V_ul <= N_dl. Leading axes
+    shared by the channel blocks and ul_rows, a shape group's [B], carry
+    over: M is then the [B, K_dl + V_ul, N_dl] stack of its members' M.
     """
     k_dl, n_dl = channel.h_dl.shape[-2:]
     if k_dl < 1:
@@ -70,9 +65,8 @@ def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
         raise ConfigurationError(
             f"{k_dl} downlink UEs + {ul_rows.shape[-1]} uplink BSs exceed {n_dl} antennas"
         )
-    if not ul_rows.shape[-1]:
-        return channel.h_dl.conj()
-    return np.concatenate((channel.h_dl, _take_rows(channel.f_bs, ul_rows)), axis=-2).conj()
+    f_sel = np.take_along_axis(channel.f_bs, ul_rows[..., None], axis=-2)
+    return np.concatenate((channel.h_dl, f_sel), axis=-2).conj()
 
 
 def zf_precoder(m: np.ndarray):
@@ -109,10 +103,10 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
 
     v_ul_count = 0 gives the plain joint-transmission precoder; any other
     count selects that many uplink BSs (a negative one is rejected), driven
-    by the per-UE baseline_sinr array. A SnapshotGroup takes its stacked
-    channel and [B, K] baseline SINRs, and makes one select_uplink_bs and
-    one assemble_m call over the group, then one zf_precoder call on each
-    member's 2-D M; every array returned gains the group's leading axis.
+    by the per-UE baseline_sinr array. Every gather takes any leading axes:
+    a SnapshotGroup, its stacked channel and [B, K] baseline SINRs make one
+    select_uplink_bs and one assemble_m call, then one zf_precoder call on
+    each member's 2-D M; every array returned gains the group's leading axis.
 
     Returns:
         w: [N_dl, K_dl + V_ul] complex, unit-norm columns. Column k < K_dl
@@ -129,7 +123,8 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
     elif baseline_sinr is None:
         raise ConfigurationError("uplink-BS selection needs baseline SINRs")
     else:
-        ul_rows = select_uplink_bs(_take_rows(baseline_sinr, snapshot.ul_ues), v_ul_count)
+        ul_rows = select_uplink_bs(np.take_along_axis(baseline_sinr, snapshot.ul_ues, -1),
+                                   v_ul_count)
     m = assemble_m(channel, ul_rows)
     if m.ndim == 2:
         return zf_precoder(m), ul_rows

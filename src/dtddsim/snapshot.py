@@ -95,10 +95,10 @@ class Snapshot:
 
 @dataclass
 class SnapshotGroup:
-    """Snapshots of one partition shape, each index array stacked on a leading axis.
+    """Snapshots of one (K_dl, K_ul), each field stacked on a leading axis.
 
-    The channel draw, the precoder and the SINR and rate kernels read these
-    fields as one Snapshot's, so a group of B snapshots takes one call where B take B.
+    The channel draw, the precoder and the SINR and rate kernels gather along their
+    last axes as along one Snapshot's, so a group of B snapshots takes one call.
     """
 
     positions: np.ndarray  # [B, K, 2]

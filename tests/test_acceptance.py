@@ -145,9 +145,9 @@ def test_c04_included_bs_uplink_dominance():
     groups = [(members, _stack(SnapshotGroup, [snaps[i] for i in members]),
                _stack(ChannelRealization, [scenes[i][1] for i in members]))
               for members in shapes.values()]
-    evaluations = _evaluate_chunk(snaps, groups, params, ("jt", "jt_ds"), 0)
+    evaluations = _evaluate_chunk(groups, params, ("jt", "jt_ds"), 0)
     checked = 0
-    for (members, group, chan), (_, results) in zip(groups, evaluations):
+    for (members, group, chan), results in zip(groups, evaluations):
         (_, jt), (_, jt_ds) = results["jt"], results["jt_ds"]
         for row, (i, base) in enumerate(zip(members, baseline_sinrs(group, chan, params))):
             snap = snaps[i]

@@ -1,13 +1,19 @@
-"""tools/bits_diff.py's comparison of record tables, on synthetic tables.
+"""tools/bits_diff.py's comparison of record tables, on synthetic tables, and
+its configurations against the ones tests/test_golden.py pins.
 
 No sweep runs.
 """
 
+import dataclasses
 import importlib.util
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+import test_golden
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))  # bits_diff imports bench_pairs from its own directory
@@ -59,3 +65,25 @@ def test_tables_of_other_lengths_differ_in_every_row():
     diff = bits_diff.compare(table(), table()[:3])
     assert diff["rows"] == [0, 1, 2, 3]
     assert diff["columns"] == ["<dtype or length>"]
+
+
+def test_every_golden_pin_is_a_configuration(monkeypatch):
+    # each configuration tests/test_golden.py pins, caught as the keyword
+    # arguments it builds its SimulationConfig from, is one the tool sweeps
+    class Built(Exception):
+        pass
+
+    def build(**kwargs):
+        raise Built(kwargs)
+
+    monkeypatch.setattr(test_golden, "SimulationConfig", build)
+    runs = [partial(test_golden.test_sweep_output_matches_golden_digests, None)]
+    runs += [partial(test_golden.test_path_output_matches_digests, None, *pin.values)
+             for pin in test_golden.PATH_PINS]
+    for run in runs:
+        with pytest.raises(Built) as built:
+            run()
+        kwargs = built.value.args[0]
+        if "traffic" in kwargs:
+            kwargs["traffic"] = dataclasses.asdict(kwargs["traffic"])
+        assert kwargs in bits_diff.CONFIGS.values(), kwargs

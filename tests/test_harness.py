@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -14,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtddsim import (ConfigurationError, NumericalError, RadioParams, RunResult,
-                     SimulationConfig, SingularChannelError, TrafficConfig, build_grid,
-                     derive_stream, evaluate_snapshot, run_sweep, write_results,
+                     SimulationConfig, SingularChannelError, TrafficConfig,
+                     build_channel_realization, build_grid, derive_stream,
+                     evaluate_snapshot, generate_snapshot, run_sweep, write_results,
                      __version__)
-from dtddsim.harness import (CSV_HEADER, DEFAULT_UTILIZATIONS, RECORD_DTYPE, SCHEMES,
-                             realize_point)
+from dtddsim.harness import CSV_HEADER, DEFAULT_UTILIZATIONS, RECORD_DTYPE, SCHEMES
 import dtddsim
 import dtddsim.harness as harness
 import dtddsim.precoding as precoding
@@ -40,6 +41,18 @@ def only_the_failure_rate_warning():
     with pytest.warns(RuntimeWarning, match="failed") as record:
         yield
     assert len(record) == 1, [str(w.message) for w in record]
+
+
+def realize_point(config, topology, utilization_index, snapshot_index):
+    """One task's (snapshot, channel), through the public per-snapshot calls.
+
+    The sweep draws the same pair from its batched streams and stacked
+    channel draw; this reference shares neither.
+    """
+    rng = derive_stream(config.master_seed, utilization_index, snapshot_index)
+    snap = generate_snapshot(topology, config.utilizations[utilization_index],
+                             config.traffic, rng)
+    return snap, build_channel_realization(snap, topology, config.radio, rng)
 
 
 def test_derive_stream_reproducible():
@@ -266,6 +279,32 @@ def test_csv_round_trips_12_digits(tmp_path):
     cell = {"f": "{:.12g}", "b": "{:d}"}
     template = ",".join(cell.get(RECORD_DTYPE[name].kind, "{}") for name in RECORD_DTYPE.names)
     assert lines[1:] == [template.format(*row) for row in res.records.tolist()]
+
+
+def test_records_csv_holds_one_sweep_point_at_a_time(tmp_path):
+    # write_results formats records.csv one sweep point at a time, so its
+    # peak traced memory stays within a small multiple of one point's block
+    # of the table; building every line before one write holds about 100x
+    cfg = small_config(utilizations=DEFAULT_UTILIZATIONS, snapshots_per_point=1000)
+    rng = np.random.default_rng(1)
+    records = np.zeros((len(SCHEMES), len(cfg.utilizations), 1000), RECORD_DTYPE)
+    records["scheme"] = np.array(SCHEMES)[:, None, None]
+    records["utilization"] = np.array(cfg.utilizations)[:, None]
+    records["snapshot"] = np.arange(1000)
+    for name in ("k_dl", "k_ul", "v_ul"):
+        records[name] = rng.integers(0, 16, records.shape)
+    for name in ("dl_sum_rate_bps", "ul_sum_rate_bps", "sum_rate_bps"):
+        records[name] = rng.random(records.shape) * 1e9
+    records = records.reshape(-1).view(np.recarray)
+    tracemalloc.start()
+    try:
+        write_results(RunResult(records=records, summaries=[], config=cfg), tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * records[:1000].nbytes, (peak, records[:1000].nbytes)
+    lines = (tmp_path / "records.csv").read_text().split("\n")
+    assert len(lines) == 2 + len(records) and lines[-1] == ""
 
 
 def test_summary_covers_every_sweep_point(tmp_path):
