@@ -185,18 +185,18 @@ def _realize(config: SimulationConfig, topology: Topology, tasks):
     """The tasks' (members, group, channels) shape groups; members index into tasks.
 
     Each task draws from its own stream, first its snapshot, then its
-    channel; the chunk makes all streams, then all snapshots, then one
-    channel draw per (K_dl, K_ul) group, into stacked blocks of one shape:
-    with one UE per BS, N_ul = K_ul and N_dl = n_bs - K_ul.
+    channel; the chunk makes all streams, then one batched generate_snapshot
+    call per utilization, which hands back its (K_dl, K_ul) shape groups,
+    then one channel draw per group, into stacked blocks of one shape: with
+    one UE per BS, N_ul = K_ul and N_dl = n_bs - K_ul.
     """
     rngs = _streams(config.master_seed, tasks)
-    snaps = [generate_snapshot(topology, config.utilizations[u_idx], config.traffic, rng)
-             for (u_idx, _), rng in zip(tasks, rngs)]
-    shapes = {}
-    for i, snap in enumerate(snaps):
-        shapes.setdefault((snap.k_dl, snap.k_ul), []).append(i)
-    groups = [(members, _stack(SnapshotGroup, [snaps[i] for i in members]))
-              for members in shapes.values()]
+    u_idx = np.array([u for u, _ in tasks])
+    groups = []
+    for u in dict.fromkeys(u_idx.tolist()):
+        point = (u_idx == u).nonzero()[0]
+        groups += [(point[members], group) for members, group in generate_snapshot(
+            topology, config.utilizations[u], config.traffic, [rngs[i] for i in point])]
     return [(members, group, build_channel_realization(
         group, topology, config.radio, [rngs[i] for i in members]))
         for members, group in groups]
@@ -406,7 +406,7 @@ def write_results(result: RunResult, out_dir) -> dict:
     with open(paths["records.csv"], "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(result.records), n):
-            fh.writelines(_CSV_ROW % row for row in result.records[start:start + n].tolist())
+            fh.write("".join(_CSV_ROW % row for row in result.records[start:start + n].tolist()))
 
     summaries = []
     for entry in result.summaries:

@@ -80,7 +80,8 @@ def zf_precoder(m: np.ndarray):
     Returns:
         w: [N_dl, R] unit-norm columns with M @ W diagonal, real, positive.
     Raises:
-        SingularChannelError: smallest singular value <= RANK_TOL * largest.
+        SingularChannelError: smallest singular value <= RANK_TOL * largest,
+            an all-zero M included.
         NumericalError: the SVD did not converge.
     """
     m = np.asarray(m)
@@ -88,10 +89,10 @@ def zf_precoder(m: np.ndarray):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the compound channel matrix failed: {exc}") from exc
+    # no ratio of the two: an all-zero M has s[0] = 0
     if s[-1] <= RANK_TOL * s[0]:
-        raise SingularChannelError(
-            f"compound channel matrix is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-        )
+        raise SingularChannelError("compound channel matrix is rank deficient "
+                                   f"(sigma_min = {s[-1]:.3e}, sigma_max = {s[0]:.3e})")
     w_raw = vh.conj().T @ (u.conj().T / s[:, None])
     # the column norms as np.linalg.norm(w_raw, axis=0) takes them
     return w_raw / np.sqrt(np.add.reduce((w_raw.conj() * w_raw).real, axis=0))

@@ -137,20 +137,47 @@ def traffic_load(utilization: float, n_bs: int, traffic: TrafficConfig) -> int:
     return k
 
 
-def generate_snapshot(topology: Topology, utilization: float, traffic: TrafficConfig,
-                      rng: np.random.Generator) -> Snapshot:
+def generate_snapshot(topology: Topology, utilization: float, traffic: TrafficConfig, rng):
     """Drop K = traffic_load(utilization, N, traffic) UEs and assign directions.
 
     Positions are drawn first (see drop_ues), then one direction draw per UE.
     Under require_mixed_traffic only the direction vector is redrawn, so the
     spatial distribution stays unconditioned.
+
+    Takes one Generator and returns its Snapshot, or a list of Generators,
+    one per snapshot, and returns their (members, SnapshotGroup) shape
+    groups: members index into the list, the groups run in the order their
+    (K_dl, K_ul) first occurs, and each member is the Snapshot its stream
+    would give alone. The drop and the partition run once over all of them.
     """
     k = traffic_load(utilization, topology.n_bs, traffic)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     placement = drop_ues(topology, k, rng)
-    while True:
-        is_downlink = rng.random(k) < traffic.dl_probability
+    is_downlink = np.empty((len(rngs), k), dtype=bool)
+    redraw = np.arange(len(rngs))
+    while len(redraw):
+        for member in redraw.tolist():
+            is_downlink[member] = rngs[member].random(k) < traffic.dl_probability
         if not traffic.require_mixed_traffic:
             break
-        if is_downlink.any() and not is_downlink.all():
-            break
-    return Snapshot(ue_placement=placement, is_downlink=is_downlink, n_bs=topology.n_bs)
+        redraw = redraw[is_downlink[redraw].all(axis=1) | ~is_downlink[redraw].any(axis=1)]
+    if isinstance(rng, np.random.Generator):
+        return Snapshot(ue_placement=placement, is_downlink=is_downlink[0],
+                        n_bs=topology.n_bs)
+    # per row: the downlink UEs, then the uplink UEs, each in index order,
+    # and the BS serving each of them
+    ues = (~is_downlink).argsort(axis=1, kind="stable")
+    serving = np.take_along_axis(placement.serving_bs, ues, axis=1)
+    is_dl_bs = np.ones((len(rngs), topology.n_bs), dtype=bool)
+    np.put_along_axis(is_dl_bs, placement.serving_bs, is_downlink, axis=1)
+    k_dl = is_downlink.sum(axis=1)
+    shapes, firsts = np.unique(k_dl, return_index=True)
+    groups = []
+    for split in shapes[firsts.argsort()].tolist():
+        members = (k_dl == split).nonzero()[0]
+        n_dl = is_dl_bs[members].nonzero()[1].reshape(len(members), -1)
+        groups.append((members, SnapshotGroup(
+            placement.positions[members], dl_ues=ues[members, :split],
+            ul_ues=ues[members, split:], dl_bs=serving[members, :split], n_dl=n_dl,
+            ul_bs=serving[members, split:])))
+    return groups

@@ -150,6 +150,65 @@ def test_block_drop_matches_one_at_a_time_oracle(topology, seed, data, pre_draw)
     assert_same_stream(*rngs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(topology=topologies(), seed=seeds, data=st.data())
+def test_batched_drop_and_snapshot_match_each_members_own_call(topology, seed, data):
+    # one drop_ues and one generate_snapshot call over 1..6 streams against
+    # each stream's own call: the same bytes per member and the same final
+    # stream state, whatever the member's place in the batch, its shape
+    # group or its stream's state before the draw. Mixed traffic needs two
+    # UEs and a dl_probability strictly between 0 and 1
+    k_max = quick_drop_limit(topology)
+    mixed = k_max >= 2 and data.draw(st.booleans())
+    dl_probability = data.draw(st.sampled_from([0.3, 0.5] if mixed else [0.0, 0.3, 0.5, 1.0]))
+    k = data.draw(st.integers(2 if mixed else 1, k_max))
+    size = data.draw(st.integers(1, 6))
+    pre_draws = data.draw(st.lists(st.sampled_from([None, "uint32", "double"]),
+                                   min_size=size, max_size=size))
+    traffic = TrafficConfig(dl_probability=dl_probability, require_mixed_traffic=mixed)
+
+    def streams():
+        batch = [np.random.default_rng(seed + i) for i in range(size)]
+        for member, pre_draw in zip(batch, pre_draws):
+            pre_draw_from(member, pre_draw)
+        return batch
+
+    batch, own = streams(), streams()
+    placement = drop_ues(topology, k, batch)
+    assert len(placement) == size * k
+    for row, member in enumerate(own):
+        alone = drop_ues(topology, k, member)
+        for name in ("positions", "serving_bs"):
+            a, b = getattr(placement, name)[row], getattr(alone, name)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+            assert a.tobytes() == b.tobytes(), (row, name)
+        assert_same_stream(batch[row], member)
+
+    batch, own = streams(), streams()
+    groups = generate_snapshot(topology, k / topology.n_bs, traffic, batch)
+    rows = np.concatenate([members for members, _ in groups])
+    assert sorted(rows.tolist()) == list(range(size))
+    # groups in the order their shape first occurs, each shape once
+    assert [members[0] for members, _ in groups] == sorted(members[0] for members, _ in groups)
+    assert len({group.dl_ues.shape[1] for _, group in groups}) == len(groups)
+    for members, group in groups:
+        for j, row in enumerate(members.tolist()):
+            alone = generate_snapshot(topology, k / topology.n_bs, traffic, own[row])
+            # a member's directions and serving BSs, from its partition
+            is_downlink = np.zeros(k, dtype=bool)
+            is_downlink[group.dl_ues[j]] = True
+            serving = np.empty_like(alone.ue_placement.serving_bs)
+            serving[group.dl_ues[j]], serving[group.ul_ues[j]] = group.dl_bs[j], group.ul_bs[j]
+            pairs = [(is_downlink, alone.is_downlink),
+                     (serving, alone.ue_placement.serving_bs)]
+            pairs += [(getattr(group, name)[j], getattr(alone, name))
+                      for name in ("positions", "dl_ues", "ul_ues", "dl_bs", "n_dl", "ul_bs")]
+            for a, b in pairs:
+                assert (a.shape, a.dtype) == (b.shape, b.dtype)
+                assert a.tobytes() == b.tobytes(), row
+            assert_same_stream(batch[row], own[row])
+
+
 def pre_draw_from(rng, pre_draw):
     """Leave rng mid-stream: half a 64-bit draw buffered, or one double drawn."""
     if pre_draw == "uint32":

@@ -566,11 +566,13 @@ def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed
 def test_schemes_share_per_snapshot_work(monkeypatch):
     # counted where the benchmark's trace wraps them (sweepbench/spans.py),
     # whose per-call counters read one 2-D M per zf_precoder call, the three
-    # positional arguments of solve_power_lp and the len of drop_ues's result;
-    # the channel draw, the precoder, M's assembly and the SINR and rate
-    # kernels take a shape group's snapshots stacked on a leading axis (the
-    # draw with one stream per member), the power LP a chunk's LPs padded to
-    # one shape, so they are counted in snapshots (LPs) as well as in calls
+    # positional arguments of solve_power_lp and the len of drop_ues's result,
+    # the UEs it places; the drop and the snapshot draw take a point's
+    # snapshots of a chunk, one stream each, and the channel draw, the
+    # precoder, M's assembly and the SINR and rate kernels take a shape
+    # group's snapshots stacked on a leading axis (the draw with one stream
+    # per member), the power LP a chunk's LPs padded to one shape, so they
+    # are counted in snapshots (LPs) as well as in calls
     calls, stacked, shapes, log = Counter(), Counter(), set(), []
     original_chunk = harness._run_chunk
 
@@ -595,7 +597,10 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
                 shapes.add((_name, len(args), tuple(kwargs)))
                 stacked[_name] += len(args[0])
             elif _name == "drop_ues":
-                shapes.add((_name, len(result)))
+                shapes.add((_name, result.serving_bs.shape[-1]))
+                stacked[_name] += len(result.serving_bs)
+            elif _name == "generate_snapshot":
+                stacked[_name] += len(args[3])
             elif _name == "build_channel_realization":
                 stacked[_name] += len(args[3])
             elif _name == "build_precoder":
@@ -614,8 +619,10 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
     assert stacked["baseline_sinrs"] == 20
     assert stacked["build_precoder"] == 20 + len(with_dummies)
     assert 0 < len(with_dummies) <= 10
+    # one drop and one snapshot draw per chunk, each over all its snapshots
     for name in ("drop_ues", "generate_snapshot"):
-        assert calls[name] == 20
+        assert stacked[name] == 20
+        assert calls[name] <= log.count("chunk")
     assert stacked["build_channel_realization"] == 20
     # one stacked M per precoder call, and one SVD per row of it
     assert stacked["assemble_m"] == calls["zf_precoder"] == stacked["build_precoder"]

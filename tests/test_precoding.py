@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtddsim import (ChannelRealization, ConfigurationError, NumericalError,
-                     SingularChannelError, assemble_m, baseline_sinrs, build_precoder,
-                     select_uplink_bs, v_ul, v_ul_max, zf_precoder)
+from dtddsim import (ChannelRealization, ConfigurationError, NumericalError, RadioParams,
+                     SingularChannelError, TrafficConfig, assemble_m, baseline_sinrs,
+                     build_channel_realization, build_grid, build_precoder,
+                     generate_snapshot, select_uplink_bs, v_ul, v_ul_max, zf_precoder)
 from dtddsim.harness import DEFAULT_UTILIZATIONS
 
 from conftest import random_scene
@@ -143,6 +146,36 @@ def test_zf_rejects_rank_deficient_matrix():
     row = np.array([1.0 + 1j, 2.0, 3.0 - 1j, 0.5])
     with pytest.raises(SingularChannelError):
         zf_precoder(np.vstack([row, 2.0 * row]))
+
+
+def test_zf_rejects_all_zero_matrix_without_a_warning():
+    # sigma_max = 0: the rank test and its message divide by no zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularChannelError, match="sigma_max = 0.000e"):
+            zf_precoder(np.zeros((2, 5), complex))
+
+
+def test_group_zero_member_gets_a_nan_row_and_the_rest_keep_their_bits():
+    topo, params = build_grid(16, 40.0), RadioParams()
+    rngs = [np.random.default_rng(seed) for seed in range(12)]
+    members, group = max(generate_snapshot(topo, 0.5, TrafficConfig(), rngs),
+                         key=lambda g: len(g[0]))
+    assert len(members) >= 3
+    chan = build_channel_realization(group, topo, params, [rngs[i] for i in members])
+    base = baseline_sinrs(group, chan, params)
+    k_dl, n_dl, n_ul = (group.dl_ues.shape[1], group.n_dl.shape[1], group.ul_bs.shape[1])
+    clean = {v: build_precoder(group, chan, v, base)[0]
+             for v in {0, v_ul(0, v_ul_max(n_ul, n_dl, k_dl))}}
+    bad = 1
+    chan.h_dl[bad] = chan.f_bs[bad] = 0.0
+    for v, w_clean in clean.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = build_precoder(group, chan, v, base)[0]
+        assert np.isnan(w[bad]).all()
+        for row in set(range(len(members))) - {bad}:
+            assert w[row].tobytes() == w_clean[row].tobytes(), (v, row)
 
 
 @settings(max_examples=300, deadline=None)

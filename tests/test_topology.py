@@ -3,6 +3,7 @@ import pytest
 
 from dtddsim import ConfigurationError, build_grid, drop_ues
 from dtddsim.channel import path_loss_db
+import dtddsim.topology as topology
 from dtddsim.topology import pairwise_distances
 
 
@@ -91,3 +92,17 @@ def test_too_many_ues_rejected():
     topo = build_grid(4, 40.0)
     with pytest.raises(ConfigurationError):
         drop_ues(topo, 5, np.random.default_rng(0))
+
+
+def test_drop_window_size_does_not_change_the_drop(monkeypatch):
+    # the batched drop steps through its candidates in windows bounded by
+    # DROP_WINDOW; one candidate per step must give the same drops and streams
+    topo = build_grid(16, 40.0)
+    wide = [np.random.default_rng(seed) for seed in range(8)]
+    want = drop_ues(topo, 16, wide)
+    monkeypatch.setattr(topology, "DROP_WINDOW", 1)
+    narrow = [np.random.default_rng(seed) for seed in range(8)]
+    got = drop_ues(topo, 16, narrow)
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.serving_bs.tobytes() == want.serving_bs.tobytes()
+    assert [r.bit_generator.state for r in narrow] == [r.bit_generator.state for r in wide]
