@@ -7,6 +7,7 @@ exactly one independent fading draw per snapshot; no reciprocity is assumed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
@@ -35,6 +36,36 @@ class RadioParams:
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(
                     f"RadioParams.{name} must be strictly positive and finite")
+        self._check_link_budget()
+
+    def _check_link_budget(self):
+        """Refuse a link budget whose powers a float cannot carry.
+
+        The noise power must be a normal float, and so must, at D_MIN_M and
+        at D_MAX_M, the path gain and the received power of p_b_max_w and of
+        p_u_max_w, alone and over the noise. The terms add in dB and each is
+        tested with a Python float power, so the test raises no numpy
+        overflow or underflow warning of its own.
+        """
+        noise_db = (THERMAL_NOISE_DBM_HZ - 30.0 + 10.0 * math.log10(self.bandwidth_hz)
+                    + self.noise_figure_db)
+        terms = [("the noise power", noise_db)]
+        for d in (D_MIN_M, D_MAX_M):
+            with np.errstate(divide="ignore"):  # a carrier / 5 that underflows to 0
+                gain_db = -path_loss_db(d, self.carrier_freq_ghz)
+            terms.append((f"the path gain at {d:g} m", gain_db))
+            for p in ("p_b_max_w", "p_u_max_w"):
+                rx_db = 10.0 * math.log10(getattr(self, p)) + gain_db
+                terms += [(f"the received power of {p} at {d:g} m", rx_db),
+                          (f"the received power of {p} over the noise at {d:g} m",
+                           rx_db - noise_db)]
+        for what, db in terms:
+            if not _is_normal_db(db):
+                raise ConfigurationError(
+                    f"RadioParams gives a link budget a float cannot carry: {what} is "
+                    f"10^{db / 10.0:.6g}. The noise power and, at {D_MIN_M:g} m and at "
+                    f"{D_MAX_M:g} m, the path gain and each maximum power's received "
+                    "power, alone and over the noise, must be normal floats")
 
     @property
     def noise_power_w(self) -> float:
@@ -60,6 +91,14 @@ class ChannelRealization:
     f_bs: np.ndarray
     g_ue: np.ndarray
     h_ul: np.ndarray
+
+
+def _is_normal_db(db: float) -> bool:
+    """Whether 10^(db / 10) is a normal float: finite and at least the smallest normal."""
+    try:
+        return sys.float_info.min <= 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        return False
 
 
 def path_loss_db(distance_m, freq_ghz: float):

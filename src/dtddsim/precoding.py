@@ -69,7 +69,7 @@ def assemble_m(channel: ChannelRealization, ul_rows) -> np.ndarray:
     return np.concatenate((channel.h_dl, f_sel), axis=-2).conj()
 
 
-def zf_precoder(m: np.ndarray):
+def zf_precoder(m: np.ndarray, *, factors=None):
     """Column-normalized right pseudo-inverse of M.
 
     Computed from the SVD rather than the textbook M^H (M M^H)^{-1}: the two
@@ -77,6 +77,12 @@ def zf_precoder(m: np.ndarray):
     number and falls over on the ill-conditioned draws that appear as rows
     are added.
 
+    Args:
+        m: [R, N_dl] compound channel matrix.
+        factors: M's (u, s, vh) as np.linalg.svd(m, full_matrices=False)
+            returns them, when the caller already has them (one member's
+            slice of a stacked SVD); by default the call factors M itself.
+            The rank test and W are the same either way.
     Returns:
         w: [N_dl, R] unit-norm columns with M @ W diagonal, real, positive.
     Raises:
@@ -84,11 +90,12 @@ def zf_precoder(m: np.ndarray):
             an all-zero M included.
         NumericalError: the SVD did not converge.
     """
-    m = np.asarray(m)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of the compound channel matrix failed: {exc}") from exc
+    if factors is None:
+        try:
+            factors = np.linalg.svd(np.asarray(m), full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD of the compound channel matrix failed: {exc}") from exc
+    u, s, vh = factors
     # no ratio of the two: an all-zero M has s[0] = 0
     if s[-1] <= RANK_TOL * s[0]:
         raise SingularChannelError("compound channel matrix is rank deficient "
@@ -106,8 +113,11 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
     count selects that many uplink BSs (a negative one is rejected), driven
     by the per-UE baseline_sinr array. Every gather takes any leading axes:
     a SnapshotGroup, its stacked channel and [B, K] baseline SINRs make one
-    select_uplink_bs and one assemble_m call, then one zf_precoder call on
-    each member's 2-D M; every array returned gains the group's leading axis.
+    select_uplink_bs and one assemble_m call, then one stacked SVD of the
+    [B, R, N_dl] M and one zf_precoder call on each member's 2-D M with its
+    slice of those factors; every array returned gains the group's leading
+    axis. numpy fails a stacked SVD as a whole when one member's does not
+    converge, so then each member's call factors its own M.
 
     Returns:
         w: [N_dl, K_dl + V_ul] complex, unit-norm columns. Column k < K_dl
@@ -130,9 +140,13 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
     if m.ndim == 2:
         return zf_precoder(m), ul_rows
     w = np.empty((len(m), m.shape[2], m.shape[1]), complex)
-    for w_row, m_row in zip(w, m):
+    try:
+        factors = zip(*np.linalg.svd(m, full_matrices=False))
+    except np.linalg.LinAlgError:
+        factors = [None] * len(m)
+    for w_row, m_row, member_factors in zip(w, m, factors):
         try:
-            w_row[...] = zf_precoder(m_row)
+            w_row[...] = zf_precoder(m_row, factors=member_factors)
         except NumericalError:
             w_row[...] = np.nan
     return w, ul_rows

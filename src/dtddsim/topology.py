@@ -27,7 +27,11 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     dx = a[..., :, None, 0] - b[..., None, :, 0]
     dy = a[..., :, None, 1] - b[..., None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    # in place: a stacked group's temporaries are large
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 @dataclass

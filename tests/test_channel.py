@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,29 @@ def test_radio_params_validation():
             RadioParams(p_b_max_w=bad)
         with pytest.raises(ConfigurationError):
             RadioParams(p_u_max_w=bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("carrier_freq_ghz", 1e300),  # every path gain underflows to 0
+    ("carrier_freq_ghz", 1e-300),  # the path gain at 3 m overflows
+    ("carrier_freq_ghz", 5e-324),  # carrier / 5 underflows to 0: an infinite gain
+    ("bandwidth_hz", 1e-300),  # the received power over the noise overflows
+    ("noise_figure_db", 1e300),  # ... or underflows to 0
+    ("p_u_max_w", 1e-320),  # a subnormal received power over the noise
+    ("noise_figure_db", 3400.0),  # the noise power overflows
+])
+def test_radio_params_refuse_a_link_budget_a_float_cannot_carry(field, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="must be normal floats"):
+            RadioParams(**{field: value})
+
+
+def test_radio_params_accept_a_wide_finite_link_budget():
+    for radio in (RadioParams(), RadioParams(carrier_freq_ghz=1e-10),
+                  RadioParams(p_b_max_w=1e-250, p_u_max_w=1e-250),
+                  RadioParams(bandwidth_hz=1e200, noise_figure_db=1e3)):
+        assert 0 < radio.noise_power_w < math.inf
 
 
 def test_unit_path_loss_gives_exponential_power():

@@ -170,6 +170,21 @@ def test_main_rejects_bs_spacing_inside_path_loss_clamp(tmp_path, capsys):
         assert err.startswith("error: ") and "spacing" in err
 
 
+def test_main_rejects_a_link_budget_a_float_cannot_carry(tmp_path, capsys):
+    # every path gain underflows to 0 at a 1e300 GHz carrier: one error line
+    # and exit 2, before any snapshot is drawn
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"radio": {"carrier_freq_ghz": 1e300}}))
+    with mock.patch.object(harness, "generate_snapshot", side_effect=AssertionError):
+        rc = main(["--config", str(path), "--out", str(tmp_path / "out"),
+                   "--snapshots", "2", "--utilization", "0.5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "path gain" in err and "normal floats" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("n_bs, area_side", [(10**14, 1e8), (10**200, 1e101),
                                               (10**700, 1e101)],
                          ids=["1e14", "1e200", "1e700"])

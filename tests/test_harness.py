@@ -624,7 +624,7 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
         assert stacked[name] == 20
         assert calls[name] <= log.count("chunk")
     assert stacked["build_channel_realization"] == 20
-    # one stacked M per precoder call, and one SVD per row of it
+    # one stacked M per precoder call, and one zf_precoder call per row of it
     assert stacked["assemble_m"] == calls["zf_precoder"] == stacked["build_precoder"]
     for name in ("solve_power_lp", "jt_sinrs"):
         assert stacked[name] == stacked["build_precoder"]
@@ -652,6 +652,38 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
         for stage, following in zip(stages, stages[1:]):
             last = len(chunk_log) - 1 - chunk_log[::-1].index(stage)
             assert last < chunk_log.index(following), (stage, following)
+
+
+def test_one_stacked_svd_per_precoder_group_call(monkeypatch):
+    # with no failed row, each build_precoder call on a shape group factors
+    # its stacked M in one np.linalg.svd call, and its zf_precoder calls, one
+    # per row, take their slices of those factors and make no SVD of their own
+    calls, original_svd = Counter(), np.linalg.svd
+    original_build, original_zf = harness.build_precoder, precoding.zf_precoder
+
+    def counted_svd(a, *args, **kwargs):
+        calls["svd", np.ndim(a)] += 1
+        return original_svd(a, *args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        calls["build_precoder"] += 1
+        w, ul_rows = original_build(*args, **kwargs)
+        calls["rows"] += len(w)
+        assert not np.isnan(w).any()
+        return w, ul_rows
+
+    def counted_zf(m, **kwargs):
+        calls["zf_precoder"] += 1
+        return original_zf(m, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(harness, "build_precoder", counted_build)
+    monkeypatch.setattr(precoding, "zf_precoder", counted_zf)
+    res = run_sweep(small_config(utilizations=(0.5, 1.0), snapshots_per_point=10))
+    assert not res.records.failed.any()
+    assert 0 < calls["build_precoder"] < calls["rows"]
+    assert calls == {("svd", 3): calls["build_precoder"], "build_precoder": calls["build_precoder"],
+                     "rows": calls["rows"], "zf_precoder": calls["rows"]}
 
 
 def bits(m):
@@ -724,11 +756,11 @@ def test_failed_jobs_leave_the_rest_of_their_shape_group_unchanged(monkeypatch, 
         p[w[:, 0, 0].real > 0] = np.nan
         return p
 
-    def fails_every_third(m):
+    def fails_every_third(m, *, factors=None):
         calls["zf_precoder"] += 1
         if calls["zf_precoder"] % 3 == 0:
             raise SingularChannelError("forced by test")
-        return original_zf(m)
+        return original_zf(m, factors=factors)
 
     if layer == "power_lp":
         monkeypatch.setattr(harness, "solve_power_lp", fails_on_half)

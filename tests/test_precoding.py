@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -154,6 +155,73 @@ def test_zf_rejects_all_zero_matrix_without_a_warning():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularChannelError, match="sigma_max = 0.000e"):
             zf_precoder(np.zeros((2, 5), complex))
+
+
+def _zf_outcome(m, **kwargs):
+    """zf_precoder's W bytes, or the type and message of the error it raises."""
+    try:
+        return zf_precoder(m, **kwargs).tobytes()
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), spare=st.integers(0, 10),
+       kind=st.sampled_from(["random", "repeated_row", "zero"]), size=st.integers(1, 5),
+       data=st.data())
+def test_given_factors_give_the_bytes_of_zf_precoders_own_svd(seed, rows, spare, kind, size,
+                                                             data):
+    # the factors of M's own 2-D SVD, or M's slice of a stacked SVD at any
+    # place in the stack, give W's bytes, or the rank error, of M's own call
+    rng = np.random.default_rng(seed)
+    shape = (size, rows, rows + spare)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    row = data.draw(st.integers(0, size - 1))
+    if kind == "zero":
+        stack[row] = 0.0
+    elif kind == "repeated_row" and rows > 1:
+        stack[row, -1] = (0.5 - 2j) * stack[row, 0]
+    m = stack[row].copy()
+    want = _zf_outcome(m)
+    if kind == "zero" or (kind == "repeated_row" and rows > 1):
+        assert want[0] is SingularChannelError
+    assert _zf_outcome(m, factors=np.linalg.svd(m, full_matrices=False)) == want
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    assert _zf_outcome(m, factors=(u[row], s[row], vh[row])) == want
+
+
+def test_group_svd_failure_falls_back_to_each_members_own_call(monkeypatch):
+    # numpy fails a stacked SVD as a whole: the group call then factors each
+    # member's M on its own, and only the member whose own SVD fails gets a
+    # NaN row of W
+    topo, params = build_grid(16, 40.0), RadioParams()
+    rngs = [np.random.default_rng(seed) for seed in range(12)]
+    members, group = max(generate_snapshot(topo, 0.5, TrafficConfig(), rngs),
+                         key=lambda g: len(g[0]))
+    assert len(members) >= 3
+    chan = build_channel_realization(group, topo, params, [rngs[i] for i in members])
+    base = baseline_sinrs(group, chan, params)
+    k_dl, n_dl, n_ul = (group.dl_ues.shape[1], group.n_dl.shape[1], group.ul_bs.shape[1])
+    bad, original_svd = 1, np.linalg.svd
+    for v in {0, v_ul(0, v_ul_max(n_ul, n_dl, k_dl))}:
+        w_clean, ul_rows = build_precoder(group, chan, v, base)
+        assert not np.isnan(w_clean).any()
+        bad_m = assemble_m(chan, ul_rows)[bad].tobytes()
+        seen = Counter()
+
+        def fails_stacked_and_one_member(a, *args, **kwargs):
+            seen[np.ndim(a)] += 1
+            if np.ndim(a) == 3 or np.asarray(a).tobytes() == bad_m:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_stacked_and_one_member)
+        w = build_precoder(group, chan, v, base)[0]
+        monkeypatch.setattr(np.linalg, "svd", original_svd)
+        assert seen == {3: 1, 2: len(members)}
+        assert np.isnan(w[bad]).all()
+        for row in set(range(len(members))) - {bad}:
+            assert w[row].tobytes() == w_clean[row].tobytes(), (v, row)
 
 
 def test_group_zero_member_gets_a_nan_row_and_the_rest_keep_their_bits():
