@@ -27,17 +27,17 @@ print(f"downlink array: {snap.n_dl_count} BSs {snap.n_dl.tolist()}")
 print(f"uplink BSs:     {snap.ul_bs.tolist()} (one per uplink UE)")
 
 print("\n=== Baseline uplink SINRs drive the selection ===")
-base = baseline_sinrs(snap, chan, params)
+_, base = baseline_sinrs(snap, chan, params)  # downlink, uplink SINRs
 for slot, ue in enumerate(snap.ul_ues):
     print(f"  UL UE {ue} @ BS {snap.ul_bs[slot]:2d}: baseline SINR "
-          f"{10 * np.log10(base[ue]):6.1f} dB")
+          f"{10 * np.log10(base[slot]):6.1f} dB")
 
 vmax = v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl)
 v = v_ul(0, vmax)
 print(f"\nV_ul_max = min(N_ul={snap.n_ul_count}, N_dl-K_dl="
       f"{snap.n_dl_count - snap.k_dl}) = {vmax}; delta = 0 -> include {v} BSs")
 
-w, ul_rows = build_precoder(snap, chan, v, base)
+w, ul_rows = build_precoder(chan, v, base)
 selected = snap.ul_bs[ul_rows]
 print(f"selected uplink BSs (worst baseline SINR first): {selected.tolist()}")
 

@@ -17,7 +17,7 @@ from itertools import accumulate, islice, pairwise, product, repeat
 import numpy as np
 
 from . import __version__
-from .channel import ChannelRealization, RadioParams, build_channel_realization
+from .channel import ChannelRealization, RadioParams, build_channel_realization, path_loss_db
 from .exceptions import ConfigurationError, check_field_types
 from .metrics import (SnapshotMetrics, SweepPointSummary, aggregate, baseline_sinrs,
                       jt_sinrs, snapshot_metrics)
@@ -93,6 +93,17 @@ class SimulationConfig:
                 f"BS spacing area_side / sqrt(n_bs) = {spacing:g} m must exceed the "
                 f"{D_MIN_M:g} m path-loss clamp and stay below sqrt(2) x the "
                 f"{D_MAX_M:g} m path-loss range")
+        # a sweep's largest numbers: n_bs streams of up to n_bs P_b, over n_bs links of up to
+        # 2^10 x the path gain (|z|^2 > 2^10: probability e^-1024), n_bs x S rates <= 1024 B
+        radio, n = self.radio, self.n_bs
+        rx_w = n * n * 1024.0 * max(radio.p_b_max_w, radio.p_u_max_w) * 10.0 ** (
+            -path_loss_db(D_MIN_M, radio.carrier_freq_ghz) / 10.0)
+        if not max(n * radio.p_b_max_w, rx_w, rx_w / radio.noise_power_w, 1024.0
+                   * radio.bandwidth_hz * n * self.snapshots_per_point) < np.finfo(float).max:
+            raise ConfigurationError(
+                f"RadioParams overflows a float with n_bs = {n}: n_bs x p_b_max_w, n_bs^2 x "
+                f"1024 x the larger maximum power received at {D_MIN_M:g} m, alone and over "
+                "the noise, and 1024 x bandwidth_hz x n_bs x snapshots_per_point must be finite")
         # any delta >= n_bs already leaves no uplink BS to null
         if not 0 <= self.delta <= self.n_bs:
             raise ConfigurationError(f"delta must be in [0, n_bs = {self.n_bs}]")
@@ -243,22 +254,23 @@ def _evaluate_chunk(groups, params: RadioParams, schemes, delta: int):
     data columns zero-padded to the chunk's largest, then each evaluation's
     jt_sinrs and snapshot_metrics over its whole group. A failure is a NaN
     row from the layer that fails, W or p, and it stays NaN through its
-    row's SINRs and rates. Yields each group's {scheme: (V_ul key, stacked
-    SnapshotMetrics)}.
+    row's SINRs and rates. Yields each group's {scheme: (V_ul key, (dl, ul)
+    SINRs, (dl, ul, total) rate sums)}, as jt_sinrs and snapshot_metrics
+    return them over the group.
     """
-    chunk = []  # per shape group: group, channels, SINRs, keys, {key: (W, p)}
+    chunk = []  # per shape group: channels, baseline (dl, ul) SINRs, keys, {key: (W, p)}
     for _, group, chan in groups:
         keys = {scheme: _v_ul_key(scheme, group, delta) for scheme in schemes}
         # JT needs no baseline; the baseline scheme and JT-DS selection do
         base = (baseline_sinrs(group, chan, params)
                 if any(v is None or v > 0 for v in keys.values()) else None)
-        chunk.append((group, chan, base, keys, {}))
+        chunk.append((chan, base, keys, {}))
 
     lps = []  # every precoded key of the chunk: K_dl, W, p
-    for group, chan, base, keys, precoded in chunk:
+    for chan, base, keys, precoded in chunk:
         k_dl = chan.h_dl.shape[1]
         for v in dict.fromkeys(v for v in keys.values() if v is not None):
-            w = build_precoder(group, chan, v, base if v else None)[0]
+            w = build_precoder(chan, v, base[1] if v else None)[0]
             precoded[v] = w, np.zeros((len(w), k_dl + v))
             lps.append((k_dl, *precoded[v]))
     if lps:
@@ -270,14 +282,12 @@ def _evaluate_chunk(groups, params: RadioParams, schemes, delta: int):
                            k_dl_each=k_each)
         for (k_dl, _, p_key), r in zip(lps, rows):  # each key's rows in turn
             p_key[r, :k_dl], p = p[:len(r), :k_dl], p[len(r):]
-    for group, chan, base, keys, precoded in chunk:
-        metrics = {}  # the None key reads the baseline SINRs
-        if None in keys.values():
-            metrics[None] = snapshot_metrics(group, base, params.bandwidth_hz)
-        for v, (w, p) in precoded.items():
-            sinrs = jt_sinrs(group, chan, params, w, p)
-            metrics[v] = snapshot_metrics(group, sinrs, params.bandwidth_hz)
-        yield {scheme: (v, metrics[v]) for scheme, v in keys.items()}
+    for chan, base, keys, precoded in chunk:
+        # the None key reads the baseline SINRs
+        sinrs = {v: base if v is None else jt_sinrs(chan, params, *precoded[v])
+                 for v in dict.fromkeys(keys.values())}
+        rates = {v: snapshot_metrics(s, params.bandwidth_hz) for v, s in sinrs.items()}
+        yield {scheme: (v, sinrs[v], rates[v]) for scheme, v in keys.items()}
 
 
 def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
@@ -296,14 +306,14 @@ def evaluate_snapshot(snap, chan, params: RadioParams, schemes=SCHEMES,
     The baseline SINRs are computed at most once, and only if the baseline
     or a JT-DS selection needs them. A precoder or power LP that fails
     (a NaN sum rate) fails only its own key. This is the sweep's evaluation
-    of a chunk of one snapshot.
+    of a chunk of one snapshot; only here do its SINRs return to drop order.
     """
     group = ([0], _stack(SnapshotGroup, [snap]), _stack(ChannelRealization, [chan]))
     [results] = _evaluate_chunk([group], params, schemes, delta)
-    return {scheme: (v or 0, None if np.isnan(m.sum_rate_bps[0]) else SnapshotMetrics(
-        m.per_ue_sinr[0], *(float(rates[0]) for rates in (
-            m.dl_sum_rate_bps, m.ul_sum_rate_bps, m.sum_rate_bps))))
-            for scheme, (v, m) in results.items()}
+    drop_order = np.argsort(np.concatenate((snap.dl_ues, snap.ul_ues)))
+    return {scheme: (v or 0, None if np.isnan(rates[-1][0]) else SnapshotMetrics(
+        np.concatenate(sinrs, axis=-1)[0, drop_order], *map(float, np.ravel(rates))))
+            for scheme, (v, sinrs, rates) in results.items()}
 
 
 def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarray:
@@ -318,13 +328,13 @@ def _run_chunk(config: SimulationConfig, topology: Topology, tasks) -> np.ndarra
             groups, config.radio, config.schemes, config.delta)):
         block["k_dl"][:, members] = group.dl_ues.shape[-1]
         block["k_ul"][:, members] = group.ul_ues.shape[-1]
-        for row, (v, m) in zip(block, results.values()):
+        for row, (v, _, rates) in zip(block, results.values()):
             row["v_ul"][members] = v or 0
-            row["failed"][members] = failed = np.isnan(m.sum_rate_bps)
-            for name in ("dl_sum_rate_bps", "ul_sum_rate_bps", "sum_rate_bps"):
+            row["failed"][members] = failed = np.isnan(rates[-1])
+            for name, rate in zip(("dl_sum_rate_bps", "ul_sum_rate_bps", "sum_rate_bps"), rates):
                 # a failed row reads NaN in every rate, though without
                 # uplink UEs its uplink sum adds up no NaN
-                row[name][members] = np.where(failed, np.nan, getattr(m, name))
+                row[name][members] = np.where(failed, np.nan, rate)
     return block
 
 

@@ -15,10 +15,7 @@ from .exceptions import ConfigurationError
 
 @dataclass
 class SnapshotMetrics:
-    """Per-UE SINRs and per-snapshot rate sums for one evaluation.
-
-    For a SnapshotGroup every field gains the group's leading axis.
-    """
+    """Per-UE SINRs and rate sums of one snapshot's evaluation (evaluate_snapshot)."""
 
     per_ue_sinr: np.ndarray  # [K] linear scale, UE drop order
     dl_sum_rate_bps: float
@@ -42,12 +39,13 @@ def _zero_diagonal(a: np.ndarray) -> None:
     a.reshape(*a.shape[:-2], -1)[..., :cols * cols:cols + 1] = 0.0
 
 
-def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
-             w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-UE SINRs (UE drop order) with the downlink array sending streams W at powers p.
+def jt_sinrs(channel: ChannelRealization, params: RadioParams, w: np.ndarray,
+             p: np.ndarray) -> tuple:
+    """(dl, ul) SINRs with the downlink array sending streams W at powers p.
 
-    snapshot is one Snapshot, or a SnapshotGroup whose leading axes the
-    channel blocks, W and p share; the SINRs then gain those axes. Every
+    dl is [.., K_dl] in the snapshot's dl_ues order and ul [.., K_ul] in its
+    ul_ues order, the channel blocks' row order. Leading axes that the
+    channel blocks, W and p share, a SnapshotGroup's [B], carry over. Every
     product is a matmul, which takes each matrix of a stack through the
     BLAS call of a one-matrix product; einsum would sum in another order.
     Both leak terms weight by p elementwise and take a numpy row sum: as a
@@ -80,16 +78,11 @@ def jt_sinrs(snapshot, channel: ChannelRealization, params: RadioParams,
     _zero_diagonal(gains)
     bs_leak = (np.abs(np.conj(channel.f_bs) @ w) ** 2 * p[..., None, :]).sum(axis=-1)
     ul = desired / (noise_w + gains.sum(axis=-2) * p_u + bs_leak)
-
-    sinrs = np.empty(dl.shape[:-1] + (dl.shape[-1] + ul.shape[-1],))
-    np.put_along_axis(sinrs, np.concatenate((snapshot.dl_ues, snapshot.ul_ues), axis=-1),
-                      np.concatenate((dl, ul), axis=-1), axis=-1)
-    return sinrs
+    return dl, ul
 
 
-def baseline_sinrs(snapshot, channel: ChannelRealization,
-                   params: RadioParams) -> np.ndarray:
-    """Per-UE SINRs for the uncoordinated scheme, UE drop order.
+def baseline_sinrs(snapshot, channel: ChannelRealization, params: RadioParams) -> tuple:
+    """(dl, ul) SINRs for the uncoordinated scheme, in jt_sinrs's orders.
 
     Each downlink UE's serving BS sends one stream at P_b, which is the
     joint-transmission formula with W the 0/1 matrix selecting each downlink
@@ -98,23 +91,17 @@ def baseline_sinrs(snapshot, channel: ChannelRealization,
     interference; uplink BS b(j) hears its UE against the other uplink UEs
     plus the serving downlink BSs. Idle BSs transmit nothing. Without
     downlink traffic W has no columns and no BS transmits. Takes one
-    Snapshot or a SnapshotGroup, as jt_sinrs does.
+    Snapshot, or a SnapshotGroup whose leading axes the channel blocks share.
     """
     w = (snapshot.n_dl[..., :, None] == snapshot.dl_bs[..., None, :]).astype(float)
     p = np.full(w.shape[:-2] + w.shape[-1:], params.p_b_max_w)
-    return jt_sinrs(snapshot, channel, params, w, p)
+    return jt_sinrs(channel, params, w, p)
 
 
-def snapshot_metrics(snapshot, sinrs: np.ndarray, bandwidth_hz: float) -> SnapshotMetrics:
-    """Convert per-UE SINRs into rates and directional sums.
-
-    snapshot is one Snapshot, or a SnapshotGroup whose leading axes sinrs shares.
-    """
-    rates = bandwidth_hz * np.log2(1.0 + sinrs)
-    dl = np.take_along_axis(rates, snapshot.dl_ues, axis=-1).sum(axis=-1)
-    ul = np.take_along_axis(rates, snapshot.ul_ues, axis=-1).sum(axis=-1)
-    return SnapshotMetrics(per_ue_sinr=sinrs, dl_sum_rate_bps=dl, ul_sum_rate_bps=ul,
-                           sum_rate_bps=dl + ul)
+def snapshot_metrics(sinrs, bandwidth_hz: float) -> tuple:
+    """(downlink, uplink, total) rate sums, each on its last axis, of jt_sinrs's (dl, ul)."""
+    dl, ul = ((bandwidth_hz * np.log2(1.0 + s)).sum(axis=-1) for s in sinrs)
+    return dl, ul, dl + ul
 
 
 def aggregate(records, k: int) -> SweepPointSummary:

@@ -32,11 +32,11 @@ def _simplex_max(c, a: np.ndarray, b):
     rounding leaves no row in the ratio test (a NaN ratio included), or if
     the pivots run out. Each element makes the pivots and the elementwise
     arithmetic it would make alone: the first column with reduced cost
-    > _TOL enters; ratio-test ties within _TOL * (1 + best) leave by the
-    smallest basis index; the pivot row is divided by the pivot before the
-    elimination, whose factor is zero on the pivot row itself, so that row
-    loses 0 * itself (a zero's sign can flip). Elements that finish or fail
-    leave the stack that is pivoted.
+    > _TOL enters; ratio-test ties within _TOL * (1 + best), relative for a
+    b near 1, leave by the smallest basis index; the pivot row is divided by
+    the pivot before the elimination, whose factor is zero on the pivot row
+    itself, so that row loses 0 * itself (a zero's sign can flip). Elements
+    that finish or fail leave the stack that is pivoted.
 
     LPs of smaller shapes may share a stack zero-padded to its largest, real
     rows and columns first, with c 0 on pad columns: a pad row (0 <= b) has
@@ -121,6 +121,10 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int, *, k_dl_each=None) -> n
     several shapes padded to one, real rows and columns first, which one
     simplex solves with each LP's own pivots and bits. It is keyword-only so
     that k_dl stays the third positional argument, the padded width.
+
+    The simplex runs at P_b = m 2^e's m in [0.5, 1) and p scales back by 2^e,
+    exactly: so its tie tolerance is relative to P_b (an absolute one ties
+    every row once P_b nears _TOL), and no ratio over- or underflows.
     """
     data = np.arange(k_dl) < np.expand_dims(k_dl if k_dl_each is None else k_dl_each, -1)
     shape = np.shape(w)
@@ -128,7 +132,8 @@ def solve_power_lp(w: np.ndarray, p_b: float, k_dl: int, *, k_dl_each=None) -> n
     # a list, the gains pass with no other reference, and its tableau copies them
     gains = [_antenna_gains(w, k_dl, data).reshape(-1, shape[-2], k_dl)]
     del w
-    x, _ = _simplex_max(data.reshape(-1, k_dl), gains.pop(), float(p_b))
+    m, e = np.frexp(float(p_b))
+    x, _ = _simplex_max(data.reshape(-1, k_dl), gains.pop(), m)
     p = np.zeros((len(x), shape[-1]))
-    p[:, :k_dl] = np.maximum(x, 0.0)  # NaN where the simplex failed
+    p[:, :k_dl] = np.ldexp(np.maximum(x, 0.0), e)  # NaN where the simplex failed
     return p.reshape(*shape[:-2], shape[-1])

@@ -105,19 +105,17 @@ def zf_precoder(m: np.ndarray, *, factors=None):
     return w_raw / np.sqrt(np.add.reduce((w_raw.conj() * w_raw).real, axis=0))
 
 
-def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
-                   baseline_sinr=None):
+def build_precoder(channel: ChannelRealization, v_ul_count: int, baseline_ul_sinr=None):
     """Select uplink BSs, assemble M, and factor the precoder of a snapshot or a group.
 
     v_ul_count = 0 gives the plain joint-transmission precoder; any other
-    count selects that many uplink BSs (a negative one is rejected), driven
-    by the per-UE baseline_sinr array. Every gather takes any leading axes:
-    a SnapshotGroup, its stacked channel and [B, K] baseline SINRs make one
-    select_uplink_bs and one assemble_m call, then one stacked SVD of the
-    [B, R, N_dl] M and one zf_precoder call on each member's 2-D M with its
-    slice of those factors; every array returned gains the group's leading
-    axis. numpy fails a stacked SVD as a whole when one member's does not
-    converge, so then each member's call factors its own M.
+    count selects that many uplink BSs (a negative one is rejected) by the
+    ul SINRs baseline_sinrs returns. A group's channel and [B, K_ul] SINRs
+    make one select_uplink_bs and one assemble_m call, then one stacked SVD
+    of the [B, R, N_dl] M and one zf_precoder call per member's 2-D M with
+    its slice of those factors; every array returned gains the group's
+    leading axis. numpy fails a stacked SVD as a whole when one member's
+    does not converge, so then each member's call factors its own M.
 
     Returns:
         w: [N_dl, K_dl + V_ul] complex, unit-norm columns. Column k < K_dl
@@ -131,11 +129,10 @@ def build_precoder(snapshot, channel: ChannelRealization, v_ul_count: int,
     """
     if v_ul_count == 0:
         ul_rows = np.empty((*channel.h_dl.shape[:-2], 0), dtype=int)
-    elif baseline_sinr is None:
+    elif baseline_ul_sinr is None:
         raise ConfigurationError("uplink-BS selection needs baseline SINRs")
     else:
-        ul_rows = select_uplink_bs(np.take_along_axis(baseline_sinr, snapshot.ul_ues, -1),
-                                   v_ul_count)
+        ul_rows = select_uplink_bs(baseline_ul_sinr, v_ul_count)
     m = assemble_m(channel, ul_rows)
     if m.ndim == 2:
         return zf_precoder(m), ul_rows

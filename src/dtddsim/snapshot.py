@@ -97,8 +97,8 @@ class Snapshot:
 class SnapshotGroup:
     """Snapshots of one (K_dl, K_ul), each field stacked on a leading axis.
 
-    The channel draw, the precoder and the SINR and rate kernels gather along their
-    last axes as along one Snapshot's, so a group of B snapshots takes one call.
+    The channel draw gathers along their last axes as along one Snapshot's,
+    and each layer takes a group of B snapshots in one call.
     """
 
     positions: np.ndarray  # [B, K, 2]

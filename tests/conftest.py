@@ -23,6 +23,14 @@ def random_scene(seed, n_bs=16, area_side=40.0, utilization=0.5,
     return snap, chan, params
 
 
+def drop_order(snap, sinrs):
+    """One [K] array in UE drop order of a snapshot's (dl, ul) SINRs,
+    in partition order as jt_sinrs and baseline_sinrs return them."""
+    out = np.empty(snap.k)
+    out[snap.dl_ues], out[snap.ul_ues] = sinrs
+    return out
+
+
 def unit_columns(rng, n_rows, n_cols):
     """Random complex matrix with unit-norm columns (a valid precoder shape)."""
     w = rng.standard_normal((n_rows, n_cols)) + 1j * rng.standard_normal((n_rows, n_cols))

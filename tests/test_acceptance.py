@@ -63,9 +63,9 @@ def test_c01_zf_nulling_scaled_by_conditioning():
     worst = 0.0
     for seed in range(1000):
         snap, chan, params = random_scene(seed=seed, utilization=0.5)
-        base = baseline_sinrs(snap, chan, params)
+        _, base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        w, ul_rows = build_precoder(snap, chan, v, base)
+        w, ul_rows = build_precoder(chan, v, base)
         m = assemble_m(chan, ul_rows)
         scaled = np.abs(m @ w) / np.linalg.norm(m, axis=1)[:, None]
         np.fill_diagonal(scaled, 0.0)
@@ -148,17 +148,18 @@ def test_c04_included_bs_uplink_dominance():
     evaluations = _evaluate_chunk(groups, params, ("jt", "jt_ds"), 0)
     checked = 0
     for (members, group, chan), results in zip(groups, evaluations):
-        (_, jt), (_, jt_ds) = results["jt"], results["jt_ds"]
-        for row, (i, base) in enumerate(zip(members, baseline_sinrs(group, chan, params))):
+        # each evaluation's (dl, ul) SINRs and rate sums, [B, ..] over the group
+        (_, (_, jt), jt_rates), (_, (_, jt_ds), jt_ds_rates) = results["jt"], results["jt_ds"]
+        for row, (i, base) in enumerate(zip(members, baseline_sinrs(group, chan, params)[1])):
             snap = snaps[i]
             v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-            selected = set(select_uplink_bs(base[snap.ul_ues], v).tolist())
-            for slot, ue in enumerate(snap.ul_ues):
+            selected = set(select_uplink_bs(base, v).tolist())
+            for slot in range(snap.k_ul):
                 if slot in selected:
                     # a failed evaluation is a NaN row, not a result
-                    assert not np.isnan(jt.sum_rate_bps[row])
-                    assert not np.isnan(jt_ds.sum_rate_bps[row])
-                    assert jt_ds.per_ue_sinr[row, ue] >= jt.per_ue_sinr[row, ue] * (1.0 - 1e-9)
+                    assert not np.isnan(jt_rates[-1][row])
+                    assert not np.isnan(jt_ds_rates[-1][row])
+                    assert jt_ds[row, slot] >= jt[row, slot] * (1.0 - 1e-9)
                     checked += 1
     assert checked > 1000
     print(f"\nPASS criterion 4: uplink SINR of every included BS dominates JT "

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
+import warnings
 from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import dtddsim.cli as cli
 import dtddsim.harness as harness
 from dtddsim import (RadioParams, SimulationConfig, TrafficConfig, __version__, run_sweep,
                      write_results)
+from dtddsim.harness import FAILURE_RATE_WARN, SCHEMES
 from dtddsim.cli import load_config, main
 from dtddsim.exceptions import ConfigurationError
 
@@ -315,3 +324,72 @@ def test_main_reports_wrongly_typed_values(tmp_path, capsys, section, key, value
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+def positive_floats(default):
+    """A positive float field: its default 3 times in 4, else any finite
+    positive float, subnormals included, or 10^e for e in [-300, 300]."""
+    wide = (st.floats(0.0, math.inf, exclude_min=True, allow_infinity=False)
+            | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+    return st.integers(0, 3).flatmap(lambda i: wide if i == 0 else st.just(default))
+
+
+@st.composite
+def cli_configs(draw):
+    """A config file's fields, each drawn over the range its check accepts.
+
+    Configs still fail the checks that tie fields together: a link budget
+    a float cannot carry, alone or over the sweep, a BS spacing out of
+    range, a utilization that gives no UE or no mixed traffic. The sweep's
+    cost grows with n_bs and snapshots_per_point, so they stay small here;
+    other tests pin how their large values are refused. A pool's start-up
+    is too slow for this test, so the sweep runs on one worker.
+    """
+    side = draw(st.integers(1, 8))
+    n_bs = side * side
+    return {
+        "n_bs": n_bs,
+        # BS spacing over and around the (3 m, sqrt(2) x 100 m) it must lie in
+        "area_side": draw(st.floats(2.0, 150.0)) * side,
+        "radio": {name: draw(positive_floats(default)) for name, default in (
+            ("carrier_freq_ghz", 2.0), ("bandwidth_hz", 10e6), ("noise_figure_db", 9.0),
+            ("p_b_max_w", 0.1), ("p_u_max_w", 0.1))},
+        "traffic": {"dl_probability": draw(st.floats(0.0, 1.0)),
+                    "require_mixed_traffic": draw(st.booleans())},
+        "schemes": draw(st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=3)),
+        "delta": draw(st.integers(0, n_bs)),
+        "utilizations": draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                      min_size=1, max_size=2)),
+        "snapshots_per_point": draw(st.integers(1, 3)),
+        "master_seed": draw(st.integers(0, 2**70)),
+        "worker_count": 1,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=cli_configs())
+def test_every_accepted_config_runs_clean_or_exits_2(config):
+    # every config the field checks accept gives finite physics: the sweep
+    # exits 0 with no numpy warning and at most FAILURE_RATE_WARN of its
+    # evaluations failed, or a check that ties fields together refuses it
+    # with exit 2, one error line and no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["--config", path, "--out", os.path.join(tmp, "out")])
+        event(f"exit {rc}")
+        if rc == 0:
+            with open(os.path.join(tmp, "out", "summary.json")) as fh:
+                summaries = json.load(fh)
+            failed = sum(entry["n_failed"] for entry in summaries)
+            assert failed <= FAILURE_RATE_WARN * sum(e["n_snapshots"] for e in summaries)
+        else:
+            assert rc == 2
+            text = err.getvalue()
+            assert text.startswith("error: ") and text.count("\n") == 1, text
+            assert "Traceback" not in text

@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
-from conftest import random_scene
+from conftest import drop_order, random_scene
 from dtddsim import (ChannelRealization, NumericalError, RadioParams,
                      SingularChannelError, Snapshot, TrafficConfig, baseline_sinrs,
                      build_channel_realization, build_grid, build_precoder, draw_channel,
                      drop_ues, generate_snapshot, jt_sinrs, path_loss_db, select_uplink_bs,
                      solve_power_lp, v_ul, v_ul_max)
 from dtddsim.harness import _stack
+from dtddsim.metrics import snapshot_metrics
 from dtddsim.power import (LOST_FEASIBILITY, OUT_OF_PIVOTS, SOLVED, UNBOUNDED,
                            _simplex_max)
 from dtddsim.snapshot import SnapshotGroup
@@ -43,22 +44,23 @@ def test_matrix_sinr_matches_per_ue_oracle(seed, k, dl_probability):
                                       dl_probability=dl_probability,
                                       require_mixed=False)
     base = baseline_sinrs(snap, chan, params)
-    want = oracles.baseline_sinrs(snap, chan, params)
-    assert np.all(np.abs(base - want) <= (RTOL + 8 * EPS * (1 + want)) * want)
+    got, want = drop_order(snap, base), oracles.baseline_sinrs(snap, chan, params)
+    assert np.all(np.abs(got - want) <= (RTOL + 8 * EPS * (1 + want)) * want)
 
     if snap.k_dl == 0:
-        got = jt_sinrs(snap, chan, params, np.zeros((snap.n_dl_count, 0)), np.zeros(0))
-        np.testing.assert_allclose(got, oracles.uplink_only_sinrs(snap, chan, params),
+        got = jt_sinrs(chan, params, np.zeros((snap.n_dl_count, 0)), np.zeros(0))
+        np.testing.assert_allclose(drop_order(snap, got),
+                                   oracles.uplink_only_sinrs(snap, chan, params),
                                    rtol=RTOL, atol=0)
         return
     v_max = v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl)
     for v in {0, v_ul(0, v_max)}:  # JT, then JT-DS with its dummy streams
         try:
-            w, _ = build_precoder(snap, chan, v, base)
+            w, _ = build_precoder(chan, v, base[1])
         except SingularChannelError:
             continue
         p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
-        np.testing.assert_allclose(jt_sinrs(snap, chan, params, w, p),
+        np.testing.assert_allclose(drop_order(snap, jt_sinrs(chan, params, w, p)),
                                    oracles.jt_sinrs(snap, chan, params, w, p),
                                    rtol=RTOL, atol=0)
 
@@ -66,7 +68,7 @@ def test_matrix_sinr_matches_per_ue_oracle(seed, k, dl_probability):
 def precoded(snap, chan, params, v, base):
     """W and p of V_ul = v, or zeros if either fails (finite SINRs, as a masked row)."""
     try:
-        w, _ = build_precoder(snap, chan, v, base)
+        w, _ = build_precoder(chan, v, base[1])
         return w, solve_power_lp(w, params.p_b_max_w, snap.k_dl)
     except NumericalError:
         r = snap.k_dl + v
@@ -74,11 +76,12 @@ def precoded(snap, chan, params, v, base):
 
 
 def test_stacked_sinrs_match_each_members_own_call():
-    # a shape group's stacked SINRs must equal each member's own call bit
-    # for bit, whatever its place in the stack. At u = 0.5, p = 0.9 makes
-    # K_ul = 1 groups and p = 0.1 K_dl = 1 groups, whose one-row and
-    # one-column products numpy hands to BLAS vector calls; under
-    # OPENBLAS_CORETYPE=Prescott a dot sums by its operand's address
+    # a shape group's stacked SINRs, and their rate sums, must equal each
+    # member's own call bit for bit, whatever its place in the stack. At
+    # u = 0.5, p = 0.9 makes K_ul = 1 groups and p = 0.1 K_dl = 1 groups,
+    # whose one-row and one-column products numpy hands to BLAS vector
+    # calls; under OPENBLAS_CORETYPE=Prescott a dot sums by its operand's
+    # address. The rates' log2 and row sums run on each direction's stack
     params, topo = RadioParams(), build_grid(16, 40.0)
     differ = []
     for dl_probability in (0.9, 0.1):
@@ -97,13 +100,17 @@ def test_stacked_sinrs_match_each_members_own_call():
             for v in (0, 1):
                 wp = [precoded(snap, c, params, v, base)
                       for (snap, c), base in zip(members, alone)]
-                evaluations[v] = (jt_sinrs(group, chan, params, *map(np.stack, zip(*wp))),
-                                  [jt_sinrs(snap, c, params, w, p)
-                                   for (snap, c), (w, p) in zip(members, wp)])
-            differ += [(dl_probability, shape, v, row)
-                       for v, (stacked, each) in evaluations.items()
-                       for row, sinrs in enumerate(each)
-                       if stacked[row].tobytes() != sinrs.tobytes()]
+                evaluations[v] = (jt_sinrs(chan, params, *map(np.stack, zip(*wp))),
+                                  [jt_sinrs(c, params, w, p)
+                                   for (_, c), (w, p) in zip(members, wp)])
+            # each direction's SINRs, downlink then uplink, then the three rate sums
+            for v, (stacked, each) in evaluations.items():
+                stacked = (*stacked, *snapshot_metrics(stacked, params.bandwidth_hz))
+                differ += [(dl_probability, shape, v, row, part)
+                           for row, sinrs in enumerate(each)
+                           for part, (a, b) in enumerate(zip(stacked, (
+                               *sinrs, *snapshot_metrics(sinrs, params.bandwidth_hz))))
+                           if a[row].tobytes() != np.asarray(b).tobytes()]
     assert differ == []
 
 
@@ -307,22 +314,21 @@ def test_group_precoder_matches_each_members_own_call(topology, seed, data, delt
     chan = build_channel_realization(_stack(SnapshotGroup, snaps), topology, params,
                                      [np.random.default_rng(seed + 1 + i) for i in range(size)])
     chan.f_bs[bad] = chan.h_dl[bad] = chan.h_dl[bad, :1]
-    base = baseline_sinrs(_stack(SnapshotGroup, snaps), chan, params)
+    _, base = baseline_sinrs(_stack(SnapshotGroup, snaps), chan, params)
     snap = snaps[0]
     v = v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-    w, ul_rows = build_precoder(_stack(SnapshotGroup, snaps), chan, v, base)
+    w, ul_rows = build_precoder(chan, v, base)
     assert (w.shape, ul_rows.shape) == ((size, snap.n_dl_count, snap.k_dl + v), (size, v))
-    for row, member in enumerate(snaps):
+    for row in range(size):
         own_chan = ChannelRealization(chan.h_dl[row], chan.f_bs[row], chan.g_ue[row],
                                       chan.h_ul[row])
         if row == bad and snap.k_dl + v > 1:
             with pytest.raises(NumericalError):
-                build_precoder(member, own_chan, v, base[row])
+                build_precoder(own_chan, v, base[row])
             assert np.isnan(w[row]).all()
-            own_rows = (select_uplink_bs(base[row][member.ul_ues], v) if v
-                        else np.empty(0, int))
+            own_rows = select_uplink_bs(base[row], v) if v else np.empty(0, int)
         else:
-            own_w, own_rows = build_precoder(member, own_chan, v, base[row])
+            own_w, own_rows = build_precoder(own_chan, v, base[row])
             assert (w[row].dtype, w[row].shape) == (own_w.dtype, own_w.shape)
             assert w[row].tobytes() == own_w.tobytes(), row
         assert ul_rows[row].dtype == own_rows.dtype

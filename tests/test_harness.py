@@ -529,8 +529,8 @@ def test_every_row_is_its_snapshot_evaluation(utilizations, schemes, delta, seed
             p[:] = np.nan
         return p
 
-    def failing_precoder(snap, chan, v, base):
-        w, ul_rows = original_precoder(snap, chan, v, base)
+    def failing_precoder(chan, v, base):
+        w, ul_rows = original_precoder(chan, v, base)
         if fail == "dummies" and v > 0:
             w[...] = np.nan
         return w, ul_rows
@@ -606,10 +606,12 @@ def test_schemes_share_per_snapshot_work(monkeypatch):
             elif _name == "build_precoder":
                 stacked[_name] += len(result[0])
             elif _name in ("baseline_sinrs", "jt_sinrs", "assemble_m"):
-                stacked[_name] += len(result)
-                stacked["most"] = max(stacked["most"], len(result))
-            elif _name == "snapshot_metrics":
-                stacked[_name] += len(args[1])
+                # the SINR kernels return (dl, ul), each [B, ..]
+                rows = len(result if _name == "assemble_m" else result[0])
+                stacked[_name] += rows
+                stacked["most"] = max(stacked["most"], rows)
+            elif _name == "snapshot_metrics":  # of the (dl, ul) SINRs
+                stacked[_name] += len(args[0][0])
             return result
         monkeypatch.setattr(module, name, counted)
     res = run_sweep(small_config(utilizations=(0.5, 1.0), snapshots_per_point=10))
@@ -717,8 +719,8 @@ def test_failure_fails_only_its_own_evaluation(monkeypatch):
     clean = run_sweep(cfg)
     original = harness.build_precoder
 
-    def fails_with_dummy_streams(snap, chan, v, base):
-        w, ul_rows = original(snap, chan, v, base)
+    def fails_with_dummy_streams(chan, v, base):
+        w, ul_rows = original(chan, v, base)
         if v > 0:
             w[...] = np.nan
         return w, ul_rows

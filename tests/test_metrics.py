@@ -28,12 +28,9 @@ def channel_of(h_dl=None, f_bs=None, g_ue=None, h_ul=None, n_dl_count=1):
 
 
 def sinrs_of(chan, w, p):
-    """jt_sinrs on a channel_of channel: UE i < K_dl is downlink slot i, the
-    rest are the uplink slots; default radio (P_u = 0.1 W, noise SIGMA2)."""
-    k_dl, k = len(chan.h_dl), len(chan.h_dl) + len(chan.h_ul)
-    snap = Snapshot(ue_placement=UePlacement(np.zeros((k, 2)), np.arange(k)),
-                    is_downlink=np.arange(k) < k_dl, n_bs=k)
-    return jt_sinrs(snap, chan, RadioParams(), np.asarray(w), np.asarray(p))
+    """jt_sinrs on a channel_of channel, the downlink slots then the uplink
+    slots; default radio (P_u = 0.1 W, noise SIGMA2)."""
+    return np.concatenate(jt_sinrs(chan, RadioParams(), np.asarray(w), np.asarray(p)))
 
 
 def test_downlink_sinr_interference_free_point():
@@ -97,9 +94,9 @@ def test_uplink_sinr_included_bs_precoder_term_nulled():
     checked = 0
     for seed in range(40):
         snap, chan, params = random_scene(seed=seed, utilization=0.5)
-        base = baseline_sinrs(snap, chan, params)
+        _, base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        w, ul_rows = build_precoder(snap, chan, v, base)
+        w, ul_rows = build_precoder(chan, v, base)
         m = assemble_m(chan, ul_rows)
         if np.linalg.cond(m) > 100:
             continue
@@ -127,14 +124,14 @@ def test_baseline_single_downlink_ue_interference_free():
     snap, chan, params = manual_scene([[6.0, 4.0]], [0], [True])
     own_col = int(np.flatnonzero(snap.n_dl == 0)[0])
     expected = abs(chan.h_dl[0, own_col]) ** 2 * 0.1 / params.noise_power_w
-    got = baseline_sinrs(snap, chan, params)[0]
+    (got,), _ = baseline_sinrs(snap, chan, params)
     assert math.isclose(got, expected, rel_tol=1e-12)
 
 
 def test_baseline_single_uplink_ue_interference_free():
     snap, chan, params = manual_scene([[6.0, 4.0]], [0], [False])
     expected = abs(chan.h_ul[0, 0]) ** 2 * 0.1 / params.noise_power_w
-    got = baseline_sinrs(snap, chan, params)[0]
+    _, (got,) = baseline_sinrs(snap, chan, params)
     assert math.isclose(got, expected, rel_tol=1e-12)
 
 
@@ -143,28 +140,28 @@ def test_baseline_one_dl_one_ul_interference_terms():
     # one BS-to-BS term at P_b and the downlink UE exactly one UE-to-UE term
     snap, chan, params = manual_scene([[6.0, 4.0], [15.0, 14.0]], [0, 5],
                                       [True, False])
-    sinrs = baseline_sinrs(snap, chan, params)
+    (dl,), (ul,) = baseline_sinrs(snap, chan, params)
     sigma2 = params.noise_power_w
     col0 = int(np.flatnonzero(snap.n_dl == 0)[0])
     dl_expected = (abs(chan.h_dl[0, col0]) ** 2 * 0.1
                    / (sigma2 + abs(chan.g_ue[0, 0]) ** 2 * 0.1))
     ul_expected = (abs(chan.h_ul[0, 0]) ** 2 * 0.1
                    / (sigma2 + abs(chan.f_bs[0, col0]) ** 2 * 0.1))
-    assert math.isclose(sinrs[0], dl_expected, rel_tol=1e-12)
-    assert math.isclose(sinrs[1], ul_expected, rel_tol=1e-12)
+    assert math.isclose(dl, dl_expected, rel_tol=1e-12)
+    assert math.isclose(ul, ul_expected, rel_tol=1e-12)
 
 
 def test_uplink_only_matches_baseline_when_no_downlink():
     # uplink-only operation is joint transmission with no precoder columns
     snap, chan, params = random_scene(seed=5, dl_probability=0.0, require_mixed=False)
-    uplink_only = jt_sinrs(snap, chan, params, np.zeros((snap.n_dl_count, 0)), np.zeros(0))
-    np.testing.assert_allclose(uplink_only, baseline_sinrs(snap, chan, params), rtol=1e-15)
+    uplink_only = jt_sinrs(chan, params, np.zeros((snap.n_dl_count, 0)), np.zeros(0))
+    for got, want in zip(uplink_only, baseline_sinrs(snap, chan, params)):
+        np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 def test_rate_log2_consistency():
-    snap, chan, params = manual_scene([[6.0, 4.0]], [0], [True])
-    m = snapshot_metrics(snap, np.array([1.0]), 1e7)
-    assert m.sum_rate_bps == m.dl_sum_rate_bps + m.ul_sum_rate_bps == 1e7
+    dl, ul, total = snapshot_metrics((np.array([1.0]), np.zeros(0)), 1e7)
+    assert total == dl + ul == 1e7
 
 
 def test_sum_rate_split_is_exact():
@@ -253,11 +250,11 @@ def test_jt_ds_equals_jt_for_downlink_only_traffic():
 
 def test_jt_sinrs_cover_every_ue():
     snap, chan, params = random_scene(seed=33, utilization=0.5)
-    w, _ = build_precoder(snap, chan, 0)
+    w, _ = build_precoder(chan, 0)
     p = solve_power_lp(w, params.p_b_max_w, snap.k_dl)
-    sinrs = jt_sinrs(snap, chan, params, w, p)
-    assert sinrs.shape == (snap.k,)
+    dl, ul = jt_sinrs(chan, params, w, p)
+    assert (dl.shape, ul.shape) == ((snap.k_dl,), (snap.k_ul,))
     # the LP may starve a downlink UE at a vertex optimum; uplink UEs always
     # transmit at P_u
-    assert np.all(sinrs >= 0)
-    assert np.all(sinrs[snap.ul_ues] > 0)
+    assert np.all(dl >= 0)
+    assert np.all(ul > 0)

@@ -142,10 +142,13 @@ def test_ratio_test_ties_leave_by_the_smallest_basis_index():
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 16), data=st.data(),
-       p_b=st.sampled_from([P_B, 1.0, 2.5e-3]))
+       p_b=st.sampled_from([P_B, 1.0, 2.5e-3, 1e-9, 1e-12, 1e300]))
 def test_lp_matches_highs_at_full_size(seed, n_rows, data, p_b):
     # beyond the vertex oracle's K_dl <= 3, N_dl <= 6: feasible, and the
-    # objective of an independent solver
+    # objective of an independent solver. RadioParams accepts P_b as small
+    # as 1e-12 W, where a ratio-test tolerance absolute in watts ties every
+    # row and breaks the per-antenna budget, and as large as 1e300 W, where
+    # a ratio P_b / |w_nk|^2 can overflow
     n_cols = data.draw(st.integers(1, 16))
     k_dl = data.draw(st.integers(1, n_cols))
     w = unit_columns(np.random.default_rng(seed), n_rows, n_cols)
@@ -154,18 +157,22 @@ def test_lp_matches_highs_at_full_size(seed, n_rows, data, p_b):
     assert np.all(p >= 0) and np.all(p[k_dl:] == 0)
     assert np.all(a @ p[:k_dl] <= p_b * (1 + 1e-12))
     # HiGHS's default feasibility tolerance is 1e-7 absolute, which lets its
-    # objective overshoot the optimum by ~1e-6 relative at p_b = 2.5 mW
-    ref = linprog(-np.ones(k_dl), A_ub=a, b_ub=np.full(n_rows, p_b), bounds=(0, None),
+    # objective overshoot the optimum by ~1e-6 relative at p_b = 2.5 mW. Its
+    # tolerances cannot go below 1e-10, so it cannot certify an optimum of
+    # P_b below that; the LP is linear in P_b, so there, and at an extreme
+    # P_b, the objective is P_b times HiGHS's at P_b = 1
+    b = p_b if 1e-6 < p_b < 1e6 else 1.0
+    ref = linprog(-np.ones(k_dl), A_ub=a, b_ub=np.full(n_rows, b), bounds=(0, None),
                   method="highs", options={"primal_feasibility_tolerance": 1e-10,
                                            "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0
-    assert abs(p.sum() + ref.fun) <= 1e-9 * -ref.fun
+    assert abs(p.sum() * (b / p_b) + ref.fun) <= 1e-9 * -ref.fun
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), shapes=st.lists(st.tuples(st.integers(1, 16), st.integers(1, 16)),
                                        min_size=1, max_size=6),
-       finite=st.booleans(), p_b=st.sampled_from([P_B, 1.0, 2.5e-3]))
+       finite=st.booleans(), p_b=st.sampled_from([P_B, 1.0, 2.5e-3, 1e-9, 1e-12]))
 def test_padded_stack_matches_each_lps_own_call(data, shapes, finite, p_b):
     # LPs of mixed [N, K], zero-padded to the stack's largest, each with its
     # own data-column count: each element's p, or its NaN row where its
@@ -218,9 +225,9 @@ def test_every_sweep_lp_matches_highs(monkeypatch):
     seen = []
     original = harness.jt_sinrs
 
-    def recorded(group, chan, params, w, p):
-        seen.extend((group.dl_ues.shape[1], params.p_b_max_w, *pair) for pair in zip(w, p))
-        return original(group, chan, params, w, p)
+    def recorded(chan, params, w, p):
+        seen.extend((chan.h_dl.shape[1], params.p_b_max_w, *pair) for pair in zip(w, p))
+        return original(chan, params, w, p)
 
     monkeypatch.setattr(harness, "jt_sinrs", recorded)
     for delta, schemes in ((0, SCHEMES), (2, ("jt_ds",))):

@@ -200,11 +200,11 @@ def test_group_svd_failure_falls_back_to_each_members_own_call(monkeypatch):
                          key=lambda g: len(g[0]))
     assert len(members) >= 3
     chan = build_channel_realization(group, topo, params, [rngs[i] for i in members])
-    base = baseline_sinrs(group, chan, params)
+    _, base = baseline_sinrs(group, chan, params)
     k_dl, n_dl, n_ul = (group.dl_ues.shape[1], group.n_dl.shape[1], group.ul_bs.shape[1])
     bad, original_svd = 1, np.linalg.svd
     for v in {0, v_ul(0, v_ul_max(n_ul, n_dl, k_dl))}:
-        w_clean, ul_rows = build_precoder(group, chan, v, base)
+        w_clean, ul_rows = build_precoder(chan, v, base)
         assert not np.isnan(w_clean).any()
         bad_m = assemble_m(chan, ul_rows)[bad].tobytes()
         seen = Counter()
@@ -216,7 +216,7 @@ def test_group_svd_failure_falls_back_to_each_members_own_call(monkeypatch):
             return original_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fails_stacked_and_one_member)
-        w = build_precoder(group, chan, v, base)[0]
+        w = build_precoder(chan, v, base)[0]
         monkeypatch.setattr(np.linalg, "svd", original_svd)
         assert seen == {3: 1, 2: len(members)}
         assert np.isnan(w[bad]).all()
@@ -231,16 +231,16 @@ def test_group_zero_member_gets_a_nan_row_and_the_rest_keep_their_bits():
                          key=lambda g: len(g[0]))
     assert len(members) >= 3
     chan = build_channel_realization(group, topo, params, [rngs[i] for i in members])
-    base = baseline_sinrs(group, chan, params)
+    _, base = baseline_sinrs(group, chan, params)
     k_dl, n_dl, n_ul = (group.dl_ues.shape[1], group.n_dl.shape[1], group.ul_bs.shape[1])
-    clean = {v: build_precoder(group, chan, v, base)[0]
+    clean = {v: build_precoder(chan, v, base)[0]
              for v in {0, v_ul(0, v_ul_max(n_ul, n_dl, k_dl))}}
     bad = 1
     chan.h_dl[bad] = chan.f_bs[bad] = 0.0
     for v, w_clean in clean.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            w = build_precoder(group, chan, v, base)[0]
+            w = build_precoder(chan, v, base)[0]
         assert np.isnan(w[bad]).all()
         for row in set(range(len(members))) - {bad}:
             assert w[row].tobytes() == w_clean[row].tobytes(), (v, row)
@@ -254,9 +254,9 @@ def test_m_times_w_is_positive_diagonal(seed, utilization, delta):
     # back-offs: every stream reaches its own row, real and positive, and
     # leaks into the other rows only at the conditioning-scaled residual
     snap, chan, params = random_scene(seed=seed, utilization=utilization)
-    base = baseline_sinrs(snap, chan, params)
+    _, base = baseline_sinrs(snap, chan, params)
     v = v_ul(delta, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-    w, ul_rows = build_precoder(snap, chan, v, base)
+    w, ul_rows = build_precoder(chan, v, base)
     m = assemble_m(chan, ul_rows)
     prod = m @ w
     diag = prod.diagonal()
@@ -269,10 +269,10 @@ def test_m_times_w_is_positive_diagonal(seed, utilization, delta):
 
 def test_precoder_without_selection_equals_plain_jt():
     snap, chan, params = random_scene(seed=11, utilization=0.5)
-    base = baseline_sinrs(snap, chan, params)
-    jt_w, _ = build_precoder(snap, chan, 0)
+    _, base = baseline_sinrs(snap, chan, params)
+    jt_w, _ = build_precoder(chan, 0)
     # a huge back-off drives the participation count to zero
-    jt_ds_w, ul_rows = build_precoder(snap, chan, v_ul(99, v_ul_max(
+    jt_ds_w, ul_rows = build_precoder(chan, v_ul(99, v_ul_max(
         snap.n_ul_count, snap.n_dl_count, snap.k_dl)), base)
     np.testing.assert_array_equal(jt_w, jt_ds_w)
     assert ul_rows.size == 0
@@ -281,22 +281,22 @@ def test_precoder_without_selection_equals_plain_jt():
 def test_selection_requires_baseline_sinrs():
     snap, chan, _ = random_scene(seed=12, utilization=0.5)
     with pytest.raises(ConfigurationError):
-        build_precoder(snap, chan, 1, None)
+        build_precoder(chan, 1, None)
 
 
 def test_precoder_rejects_negative_count():
     snap, chan, params = random_scene(seed=12, utilization=0.5)
-    for base in (baseline_sinrs(snap, chan, params), None):
+    for base in (baseline_sinrs(snap, chan, params)[1], None):
         with pytest.raises(ConfigurationError):
-            build_precoder(snap, chan, -1, base)
+            build_precoder(chan, -1, base)
 
 
 def test_unit_columns_on_real_snapshots():
     for seed in range(20):
         snap, chan, params = random_scene(seed=seed, utilization=0.75)
-        base = baseline_sinrs(snap, chan, params)
+        _, base = baseline_sinrs(snap, chan, params)
         v = v_ul(0, v_ul_max(snap.n_ul_count, snap.n_dl_count, snap.k_dl))
-        w, ul_rows = build_precoder(snap, chan, v, base)
+        w, ul_rows = build_precoder(chan, v, base)
         assert w.shape == (snap.n_dl_count, snap.k_dl + len(ul_rows))
         assert snap.k_dl + len(ul_rows) <= snap.n_dl_count
         np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, atol=1e-12)
